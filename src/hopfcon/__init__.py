@@ -12,17 +12,18 @@ from .dynamics import (LocalHamiltonianSpec, TrajectoryPoint,
                        evolve_closed_form, evolve_numeric, pauli_propagator,
                        schmidt_initial_state, schmidt_trajectory)
 from .errors import (DimensionMismatchError, HopfconError, NormalizationError,
-                     SplitMismatchError, ZeroNormError)
+                     ParameterError, SplitMismatchError, ZeroNormError)
 from .hypercomplex import (FANO_TRIPLES, OCT_UNITS, OCTONION_TABLE,
                            QUAT_UNITS, QUATERNION_TABLE, Octonion, Quaternion,
-                           oct_conj, oct_inverse, oct_mul, quat_conj,
-                           quat_mul, quat_star)
+                           oct_conj, oct_inverse, oct_mul, products,
+                           quat_conj, quat_mul, quat_star)
 from .oracles import (SO2_GENERATOR, generator_concurrence, minor_concurrence,
                       so_n_generators)
-from .projection import (OctoState, OctProjection, QuaterState,
-                         QuatProjection, oct_concurrence,
-                         oct_pair_projections, oct_project,
-                         oct_projection_bilinear, octonify, quat_concurrence,
+from .projection import (OctoState, OctProjection, PackedState, QuaterState,
+                         QuatProjection, concurrence, equivariance_error,
+                         oct_concurrence, oct_pair_projections, oct_project,
+                         oct_projection_bilinear, octonify, pack,
+                         pair_projections, project, quat_concurrence,
                          quat_pair_projections, quat_project,
                          quat_projection_bilinear, quaternify,
                          right_module_action, transformed_schmidt_part,
@@ -38,14 +39,16 @@ __all__ = [
     "DimensionMismatchError", "FANO_TRIPLES", "HopfconError",
     "IDENTITY_UNITARY", "LocalHamiltonianSpec", "LocalUnitary2",
     "NormalizationError", "OCT_UNITS", "OCTONION_TABLE", "OctProjection",
-    "Octonion", "OctoState", "PureState", "QUAT_UNITS", "QUATERNION_TABLE",
-    "QuatProjection", "Quaternion", "QuaterState", "SO2_GENERATOR",
-    "SplitMismatchError", "TrajectoryPoint", "ZeroNormError", "apply_local",
+    "Octonion", "OctoState", "PackedState", "ParameterError", "PureState",
+    "QUAT_UNITS", "QUATERNION_TABLE", "QuatProjection", "Quaternion",
+    "QuaterState", "SO2_GENERATOR", "SplitMismatchError", "TrajectoryPoint",
+    "ZeroNormError", "apply_local", "concurrence", "equivariance_error",
     "evolve_closed_form", "evolve_numeric", "generator_concurrence",
     "ghz_state", "index_of", "labels_of", "load_state", "make_state",
     "minor_concurrence", "oct_concurrence", "oct_conj", "oct_inverse",
     "oct_mul", "oct_pair_projections", "oct_project",
-    "oct_projection_bilinear", "octonify", "pauli_propagator",
+    "oct_projection_bilinear", "octonify", "pack", "pair_projections",
+    "pauli_propagator", "products", "project",
     "quat_concurrence", "quat_conj", "quat_mul", "quat_pair_projections",
     "quat_project", "quat_projection_bilinear", "quat_star", "quaternify",
     "random_local_unitary", "random_state", "random_unitary",

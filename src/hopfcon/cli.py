@@ -14,6 +14,7 @@ keeps full precision.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -21,11 +22,11 @@ import numpy as np
 
 from .dynamics import LocalHamiltonianSpec, schmidt_trajectory
 from .errors import HopfconError
-from .hypercomplex import Octonion, Quaternion, oct_mul, quat_mul
+from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
-from .projection import (oct_concurrence, oct_pair_projections, octonify,
-                         quat_concurrence, quat_pair_projections, quaternify)
-from .states import (ghz_state, load_state, random_local_unitary,
+from .projection import (concurrence, equivariance_error, pack,
+                         pair_projections)
+from .states import (apply_local, ghz_state, load_state, random_local_unitary,
                      random_state, random_unitary, w_state)
 
 SPLIT_LEFT_DIM = {"2xN": 2, "4xN": 4}
@@ -65,6 +66,8 @@ def _state_options(command):
                      help="Build a seeded random state (see --qubits)."),
         click.option("--qubits", type=click.IntRange(min=2), default=2,
                      show_default=True, help="Qubit count for --random."),
+        click.option("--split", type=click.Choice(sorted(SPLIT_LEFT_DIM)), required=True,
+                     help="Bipartition: first qubit vs rest (2xN) or first two vs rest (4xN)."),
     ]
     for dec in reversed(decorators):
         command = dec(command)
@@ -78,8 +81,6 @@ def cli():
 
 @cli.command("concurrence")
 @_state_options
-@click.option("--split", type=click.Choice(sorted(SPLIT_LEFT_DIM)), required=True,
-              help="Bipartition: first qubit vs rest (2xN) or first two vs rest (4xN).")
 @click.option("--method", type=click.Choice(["hopf", "minors", "generators", "all"]),
               default="all", show_default=True)
 @click.pass_context
@@ -90,9 +91,8 @@ def cmd_concurrence(ctx, state_file, ghz, w, random_seed, qubits, split, method)
     if method == "generators" and left_dim != 2:
         raise click.UsageError("the generators method applies only to the 2xN split")
 
-    hopf = quat_concurrence if left_dim == 2 else oct_concurrence
     computations = {
-        "hopf": lambda: hopf(state),
+        "hopf": lambda: concurrence(state, left_dim),
         "minors": lambda: minor_concurrence(state, left_dim),
         "generators": lambda: generator_concurrence(state),
     }
@@ -114,34 +114,17 @@ def cmd_concurrence(ctx, state_file, ghz, w, random_seed, qubits, split, method)
             ctx.exit(2)
 
 
-def _complex_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 @cli.command("project")
 @_state_options
-@click.option("--split", type=click.Choice(sorted(SPLIT_LEFT_DIM)), required=True)
-@click.pass_context
-def cmd_project(ctx, state_file, ghz, w, random_seed, qubits, split):
+def cmd_project(state_file, ghz, w, random_seed, qubits, split):
     """Dump every pairwise projection (Schmidt + hypercomplex parts) as JSON."""
     state = _state_from_options(state_file, ghz, w, random_seed, qubits)
-    if split == "2xN":
-        pairs = [
-            {"j": j, "k": k,
-             "schmidt": _complex_pair(proj.schmidt),
-             "concurrence_part": _complex_pair(proj.concurrence_part)}
-            for j, k, proj in quat_pair_projections(quaternify(state))
-        ]
-        concurrence = quat_concurrence(state)
-    else:
-        pairs = [
-            {"j": k, "k": l,
-             "s0": _complex_pair(proj.s0), "s1": _complex_pair(proj.s1),
-             "s2": _complex_pair(proj.s2), "s3": _complex_pair(proj.s3)}
-            for k, l, proj in oct_pair_projections(octonify(state))
-        ]
-        concurrence = oct_concurrence(state)
-    click.echo(json.dumps({"split": split, "pairs": pairs, "concurrence": concurrence}))
+    left_dim = SPLIT_LEFT_DIM[split]
+    # vars() of a projection dataclass lists its complex fields in order
+    pairs = [{"j": j, "k": k, **{name: [z.real, z.imag] for name, z in vars(proj).items()}}
+             for j, k, proj in pair_projections(pack(state, left_dim))]
+    click.echo(json.dumps({"split": split, "pairs": pairs,
+                           "concurrence": concurrence(state, left_dim)}))
 
 
 @cli.command("evolve")
@@ -158,11 +141,10 @@ def cmd_project(ctx, state_file, ghz, w, random_seed, qubits, split):
 @click.option("--t-max", type=float, required=True)
 @click.option("--steps", type=click.IntRange(min=2), required=True)
 @click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
-@click.pass_context
-def cmd_evolve(ctx, lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
+def cmd_evolve(lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
     """Write the Schmidt-trajectory CSV t,schmidt_re,schmidt_im,concurrence."""
-    if t_max <= 0:
-        raise click.UsageError("--t-max must be positive")
+    if not 0 < t_max < math.inf:
+        raise click.UsageError("--t-max must be positive and finite")
     spec1 = LocalHamiltonianSpec(theta1, phi1, r)
     LocalHamiltonianSpec(theta2, phi2, r)  # validates the unused angles too
     times = np.linspace(0.0, t_max, steps)
@@ -182,17 +164,16 @@ def _suite_oracle_equivalence(rng, trials):
     for n in (2, 3, 4, 8):
         for _ in range(trials):
             seed = int(rng.integers(2 ** 31))
-            state2 = random_state(seed, (2, n))
-            values = (quat_concurrence(state2), minor_concurrence(state2, 2),
-                      generator_concurrence(state2))
-            worst = max(worst, max(values) - min(values))
-            state4 = random_state(seed + 1, (4, n))
-            worst = max(worst, abs(oct_concurrence(state4) - minor_concurrence(state4, 4)))
+            for offset, left_dim in enumerate((2, 4)):
+                state = random_state(seed + offset, (left_dim, n))
+                values = [concurrence(state, left_dim), minor_concurrence(state, left_dim)]
+                if left_dim == 2:
+                    values.append(generator_concurrence(state))
+                worst = max(worst, max(values) - min(values))
     return worst, 1e-10
 
 
 def _suite_local_unitary_invariance(rng, trials):
-    from .states import apply_local
     worst = 0.0
     for left_dim, n in ((2, 3), (2, 8), (4, 3), (4, 8)):
         for _ in range(trials):
@@ -200,37 +181,28 @@ def _suite_local_unitary_invariance(rng, trials):
             u_left = random_unitary(left_dim, rng)
             u_right = random_unitary(n, rng)
             moved = apply_local(state, u_left, u_right)
-            conc = quat_concurrence if left_dim == 2 else oct_concurrence
-            worst = max(worst, abs(conc(state) - conc(moved)))
+            worst = max(worst, abs(concurrence(state, left_dim)
+                                   - concurrence(moved, left_dim)))
     return worst, 1e-10
 
 
 def _suite_equivariance(rng, trials):
-    from .projection import quat_project, right_module_action
-    from .states import apply_local
     worst = 0.0
     for _ in range(4 * trials):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
         coeff_u = random_local_unitary(rng)
         fiber_u = random_local_unitary(rng)
-        evolved = quaternify(apply_local(state, fiber_u, coeff_u))
-        module = right_module_action(quaternify(state), coeff_u, fiber_u)
-        p1 = quat_project(*evolved.coefficients)
-        p2 = quat_project(*module.coefficients)
-        worst = max(worst, abs(p1.schmidt - p2.schmidt),
-                    abs(p1.concurrence_part - p2.concurrence_part))
+        worst = max(worst, equivariance_error(state, coeff_u, fiber_u))
     return worst, 1e-10
 
 
 def _suite_norm_composition(rng, trials):
     worst = 0.0
     for _ in range(8 * trials):
-        q1 = Quaternion(*rng.standard_normal(4))
-        q2 = Quaternion(*rng.standard_normal(4))
-        worst = max(worst, abs(quat_mul(q1, q2).norm() - q1.norm() * q2.norm()))
-        o1 = Octonion(*rng.standard_normal(8))
-        o2 = Octonion(*rng.standard_normal(8))
-        worst = max(worst, abs(oct_mul(o1, o2).norm() - o1.norm() * o2.norm()))
+        for d, algebra in ALGEBRAS.items():
+            x = algebra(*rng.standard_normal(d))
+            y = algebra(*rng.standard_normal(d))
+            worst = max(worst, abs((x * y).norm() - x.norm() * y.norm()))
     return worst, 1e-11
 
 

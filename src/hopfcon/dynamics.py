@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .hypercomplex import Quaternion
 from .projection import QuaterState
 from .states import PureState, apply_local
@@ -42,9 +43,9 @@ class LocalHamiltonianSpec:
 
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("angles must be finite")
+            raise ParameterError("angles must be finite")
         if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ValueError("field magnitude r must be finite and >= 0")
+            raise ParameterError("field magnitude r must be finite and >= 0")
 
     def direction(self) -> np.ndarray:
         return np.array([math.sin(self.theta) * math.cos(self.phi),
@@ -74,13 +75,9 @@ def pauli_propagator(spec: LocalHamiltonianSpec, t: float) -> np.ndarray:
     return math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * n_sigma
 
 
-def _schmidt_initial(lam: float) -> PureState:
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = math.sqrt(lam)
-    amps[3] = math.sqrt(1.0 - lam)
-    return PureState((2, 2), amps)
+def _check_weight(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:  # also rejects NaN
+        raise ParameterError("lam must lie in [0, 1]")
 
 
 def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
@@ -91,8 +88,7 @@ def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
     Written out term by term, independently of any matrix product, so the
     numeric propagator route can serve as a genuine cross-oracle.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    _check_weight(lam)
     root_lam = math.sqrt(lam)
     root_mu = math.sqrt(1.0 - lam)
     c1, s1 = math.cos(spec1.r * t), math.sin(spec1.r * t)
@@ -126,8 +122,7 @@ def schmidt_trajectory(lam: float, spec1: LocalHamiltonianSpec,
 
     and the concurrence magnitude is the constant sqrt(lam * (1 - lam)).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    _check_weight(lam)
     weight = 2.0 * lam - 1.0
     conc = math.sqrt(lam * (1.0 - lam))
     cth, sth = math.cos(spec1.theta), math.sin(spec1.theta)
@@ -149,4 +144,8 @@ def evolve_numeric(state: PureState, spec1: LocalHamiltonianSpec,
 
 def schmidt_initial_state(lam: float) -> PureState:
     """The Schmidt-form initial state sqrt(lam)|00> + sqrt(1-lam)|11>."""
-    return _schmidt_initial(lam)
+    _check_weight(lam)
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = math.sqrt(lam)
+    amps[3] = math.sqrt(1.0 - lam)
+    return PureState((2, 2), amps)

@@ -19,3 +19,7 @@ class NormalizationError(HopfconError, ValueError):
 
 class SplitMismatchError(HopfconError, ValueError):
     """The requested bipartition does not fit the state's factor dimensions."""
+
+
+class ParameterError(HopfconError, ValueError):
+    """A model parameter (angle, field magnitude, Schmidt weight) is out of range or not finite."""

@@ -4,9 +4,14 @@ Both algebras are represented by fixed-width tuples of double-precision
 reals against the basis e0 = 1, e1, ..., with multiplication driven by a
 signed structure table generated once from the totally antisymmetric
 structure constants (f_ijk = +1 on the index triples listed in
-FANO_TRIPLES, plus the quaternionic triple (1, 2, 3)).  Generating the
-tables instead of hard-coding them makes transcription errors detectable:
-the test suite asserts every basis-product cell independently.
+FANO_TRIPLES).  The octonions arise from the quaternions by Cayley-Dickson
+doubling, so the quaternion table is the e0..e3 corner of the octonion
+table.  Generating the tables instead of hard-coding them makes
+transcription errors detectable: the test suite asserts every
+basis-product cell independently.
+
+Every product in the package, from one scalar to the N x N grid of a
+packed state's coefficient pairs, goes through products().
 
 Conventions used throughout the package:
 
@@ -42,37 +47,90 @@ def _structure_table(dim: int, triples) -> np.ndarray:
     return table
 
 
-QUATERNION_TABLE = _structure_table(4, ((1, 2, 3),))
 OCTONION_TABLE = _structure_table(8, FANO_TRIPLES)
+QUATERNION_TABLE = OCTONION_TABLE[:4, :4, :4].copy()
+
+# Per coefficient count d: row k*d + p, column q holds t[p, q, k], so that
+# (rows @ b.T)[k*d + p, j] is the e_k component of e_p * b_j.
+_TABLE_ROWS = {len(table): table.transpose(2, 0, 1).reshape(-1, len(table)).astype(float)
+               for table in (QUATERNION_TABLE, OCTONION_TABLE)}
 
 
-def _mul_terms(table: np.ndarray):
-    """Flatten a structure table into (i, j, k, sign) product terms."""
-    terms = []
-    dim = table.shape[0]
-    for i in range(dim):
-        for j in range(dim):
-            for k in range(dim):
-                sign = int(table[i, j, k])
-                if sign:
-                    terms.append((i, j, k, float(sign)))
-    return tuple(terms)
+def products(a, b) -> np.ndarray:
+    """Every product a_i * b_j of two stacks of coefficient rows.
+
+    a is (m, d) and b is (n, d), real, with d = 4 (quaternions) or 8
+    (octonions).  Returns out with shape (d, m, n), where out[k, i, j] is
+    the e_k component of a_i * b_j.  Two matrix products with the
+    structure table compute it: the first folds the table into b, the
+    second contracts a's rows against the result.  A 1 x 1 call is a
+    scalar product; peak memory is the d*m*n output.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    d = a.shape[-1]
+    if d not in _TABLE_ROWS or b.shape[-1] != d:
+        raise ValueError(f"products needs rows of 4 or 8 coefficients, got {d} and {b.shape[-1]}")
+    right = (_TABLE_ROWS[d] @ b.T).reshape(d, d, len(b))  # right[k, p, j]
+    return a @ right
 
 
-_QUAT_TERMS = _mul_terms(QUATERNION_TABLE)
-_OCT_TERMS = _mul_terms(OCTONION_TABLE)
+class Hypercomplex:
+    """Arithmetic shared by Quaternion and Octonion.
 
+    Subclasses are frozen dataclasses whose fields x0, x1, ... are the real
+    coefficients on e0 = 1, e1, ...
+    """
 
-def _multiply(a, b, terms, dim):
-    out = [0.0] * dim
-    for i, j, k, sign in terms:
-        out[k] += sign * a[i] * b[j]
-    return out
+    def coefficients(self) -> tuple[float, ...]:
+        # a frozen dataclass instance's dict holds exactly its fields, in order
+        return tuple(vars(self).values())
+
+    def conjugate(self):
+        """Keeps x0, negates every imaginary coefficient."""
+        x0, *imaginary = self.coefficients()
+        return type(self)(x0, *(-x for x in imaginary))
+
+    def norm_squared(self) -> float:
+        return sum(x * x for x in self.coefficients())
+
+    def norm(self) -> float:
+        return math.sqrt(self.norm_squared())
+
+    def inverse(self):
+        """Unique inverse conj(x) / |x|^2 of a nonzero element."""
+        n2 = self.norm_squared()
+        if n2 == 0.0:
+            raise ZeroDivisionError(f"zero {type(self).__name__.lower()} has no inverse")
+        return type(self)(*(x / n2 for x in self.conjugate().coefficients()))
+
+    def __add__(self, other):
+        return type(self)(*(a + b for a, b in zip(self.coefficients(), other.coefficients())))
+
+    def __sub__(self, other):
+        return type(self)(*(a - b for a, b in zip(self.coefficients(), other.coefficients())))
+
+    def __neg__(self):
+        return type(self)(*(-a for a in self.coefficients()))
+
+    def __mul__(self, other):
+        if isinstance(other, type(self)):
+            product = products([self.coefficients()], [other.coefficients()])
+            return type(self)(*product[:, 0, 0].tolist())
+        if isinstance(other, (int, float)):
+            f = float(other)
+            return type(self)(*(a * f for a in self.coefficients()))
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, float)):
+            return self.__mul__(other)
+        return NotImplemented
 
 
 @dataclass(frozen=True)
-class Quaternion:
-    """Rank-4 hypercomplex number x0 + x1*e1 + x2*e2 + x3*e3."""
+class Quaternion(Hypercomplex):
+    """Rank-4 hypercomplex number x0 + x1*e1 + x2*e2 + x3*e3 (associative, noncommutative)."""
 
     x0: float = 0.0
     x1: float = 0.0
@@ -89,56 +147,14 @@ class Quaternion:
         """Inverse of from_complex_pair; round-trips exactly."""
         return complex(self.x0, self.x1), complex(self.x2, self.x3)
 
-    def coefficients(self) -> tuple[float, float, float, float]:
-        return (self.x0, self.x1, self.x2, self.x3)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.x0, -self.x1, -self.x2, -self.x3)
-
     def star(self) -> "Quaternion":
         """The involution z1 + z2*e2 -> z1 - z2*e2 (fixes the complex part)."""
         return Quaternion(self.x0, self.x1, -self.x2, -self.x3)
 
-    def norm_squared(self) -> float:
-        return self.x0 * self.x0 + self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def inverse(self) -> "Quaternion":
-        n2 = self.norm_squared()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.x0 / n2, -self.x1 / n2, -self.x2 / n2, -self.x3 / n2)
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.x0 + other.x0, self.x1 + other.x1,
-                          self.x2 + other.x2, self.x3 + other.x3)
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.x0 - other.x0, self.x1 - other.x1,
-                          self.x2 - other.x2, self.x3 - other.x3)
-
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.x0, -self.x1, -self.x2, -self.x3)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return quat_mul(self, other)
-        if isinstance(other, (int, float)):
-            f = float(other)
-            return Quaternion(self.x0 * f, self.x1 * f, self.x2 * f, self.x3 * f)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
-
 
 @dataclass(frozen=True)
-class Octonion:
-    """Rank-8 hypercomplex number sum_i x_i * e_i (non-associative)."""
+class Octonion(Hypercomplex):
+    """Rank-8 hypercomplex number sum_i x_i * e_i (norm-composing, not associative)."""
 
     x0: float = 0.0
     x1: float = 0.0
@@ -166,77 +182,36 @@ class Octonion:
         return (complex(self.x0, self.x1), complex(self.x2, self.x3),
                 complex(self.x4, self.x5), complex(self.x6, self.x7))
 
-    def coefficients(self) -> tuple[float, ...]:
-        return (self.x0, self.x1, self.x2, self.x3,
-                self.x4, self.x5, self.x6, self.x7)
 
-    def conjugate(self) -> "Octonion":
-        return Octonion(self.x0, -self.x1, -self.x2, -self.x3,
-                        -self.x4, -self.x5, -self.x6, -self.x7)
+# The algebra whose elements have d real coefficients.
+ALGEBRAS = {4: Quaternion, 8: Octonion}
 
-    def norm_squared(self) -> float:
-        return sum(x * x for x in self.coefficients())
 
-    def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def inverse(self) -> "Octonion":
-        return oct_inverse(self)
-
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(*(a + b for a, b in zip(self.coefficients(), other.coefficients())))
-
-    def __sub__(self, other: "Octonion") -> "Octonion":
-        return Octonion(*(a - b for a, b in zip(self.coefficients(), other.coefficients())))
-
-    def __neg__(self) -> "Octonion":
-        return Octonion(*(-a for a in self.coefficients()))
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return oct_mul(self, other)
-        if isinstance(other, (int, float)):
-            f = float(other)
-            return Octonion(*(a * f for a in self.coefficients()))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
-
+# Per-algebra names for the shared arithmetic.  Each stays a def, not an
+# alias, so that it keeps its own __name__ in profiles and traces.
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Quaternion product (associative, noncommutative)."""
-    return Quaternion(*_multiply(a.coefficients(), b.coefficients(), _QUAT_TERMS, 4))
+    return a * b
 
 
 def quat_conj(q: Quaternion) -> Quaternion:
-    """Quaternion conjugation: keeps x0, negates x1..x3."""
     return q.conjugate()
 
 
 def quat_star(q: Quaternion) -> Quaternion:
-    """Negate only the e2-component of the complex split: z1 + z2*e2 -> z1 - z2*e2."""
     return q.star()
 
 
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
-    """Octonion product (norm-composing, not associative)."""
-    return Octonion(*_multiply(a.coefficients(), b.coefficients(), _OCT_TERMS, 8))
+    return a * b
 
 
 def oct_conj(o: Octonion) -> Octonion:
-    """Octonion conjugation: keeps x0, negates x1..x7."""
     return o.conjugate()
 
 
 def oct_inverse(o: Octonion) -> Octonion:
-    """Unique inverse conj(o) / |o|^2 of a nonzero octonion."""
-    n2 = o.norm_squared()
-    if n2 == 0.0:
-        raise ZeroDivisionError("zero octonion has no inverse")
-    return Octonion(*(x / n2 for x in o.conjugate().coefficients()))
+    return o.inverse()
 
 
 QUAT_UNITS = tuple(Quaternion(*row) for row in np.eye(4))

@@ -40,7 +40,7 @@ class PureState:
                 f"expected {int(np.prod(self.dims))} amplitudes for dims {self.dims}, "
                 f"got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOLERANCE:
+        if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN amplitudes
             raise NormalizationError(
                 f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}; "
                 "use make_state to renormalize near-unit input")
@@ -56,16 +56,18 @@ class PureState:
         """Amplitudes as a left_dim x (total/left_dim) matrix over a prefix bipartition.
 
         The left factor must be a contiguous prefix of the stored factors
-        whose dimensions multiply exactly to ``left_dim``.
+        whose dimensions multiply exactly to ``left_dim``, and it must leave
+        at least one factor on the right.
         """
         prod = 1
         for d in self.dims:
             if prod == left_dim:
                 break
             prod *= d
-        if prod != left_dim:
+        if prod != left_dim or left_dim == self.total_dim:
             raise SplitMismatchError(
-                f"cannot split dims {self.dims} with a left factor of dimension {left_dim}")
+                f"cannot split dims {self.dims} with a left factor of dimension {left_dim}"
+                " and a nontrivial right factor")
         return self.amplitudes.reshape(left_dim, self.total_dim // left_dim)
 
 
@@ -109,7 +111,7 @@ def make_state(dims, amplitudes) -> PureState:
     norm = float(np.linalg.norm(amps))
     if norm < 1e-9:
         raise ZeroNormError("state vector has zero norm")
-    if abs(norm - 1.0) > NORM_TOLERANCE:
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN amplitudes
         raise NormalizationError(f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}")
     return PureState(dims, amps / norm)
 
@@ -225,7 +227,10 @@ def state_from_json(text: str) -> PureState:
         pairs = payload["amplitudes"]
     except (KeyError, TypeError) as exc:
         raise DimensionMismatchError("state JSON must carry 'dims' and 'amplitudes'") from exc
-    amps = np.array([complex(re, im) for re, im in pairs])
+    try:
+        amps = np.array([complex(re, im) for re, im in pairs])
+    except (TypeError, ValueError) as exc:
+        raise DimensionMismatchError("each amplitude must be a [re, im] pair of numbers") from exc
     return make_state(dims, amps)
 
 

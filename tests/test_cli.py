@@ -82,6 +82,25 @@ def test_non_normalized_state_file_rejected(tmp_path, capsys):
     assert code == 1
 
 
+def test_state_file_with_string_amplitude_rejected(tmp_path, capsys):
+    path = tmp_path / "text.json"
+    path.write_text(json.dumps({"dims": [2, 2],
+                                "amplitudes": [["a", 0], [0, 0], [0, 0], [1, 0]]}))
+    code, _, err = run_cli(capsys, "concurrence", "--state", str(path), "--split", "2xN")
+    assert code == 1
+    assert "[re, im]" in err
+
+
+@pytest.mark.parametrize("command", ["concurrence", "project"])
+def test_split_without_right_factor_rejected(command, capsys):
+    # a 2-qubit state has no qubits left over after a 4xN split
+    code, out, err = run_cli(capsys, command, "--random", "3", "--qubits", "2",
+                             "--split", "4xN")
+    assert code == 1
+    assert out == ""
+    assert "cannot split" in err
+
+
 def test_project_bell(capsys):
     code, out, _ = run_cli(capsys, "project", "--ghz", "2", "--split", "2xN")
     assert code == 0
@@ -160,6 +179,17 @@ def test_evolve_rejects_bad_ranges(capsys):
     code, _, _ = run_cli(capsys, "evolve", "--lambda", "0.5", "--t-max", "1",
                          "--steps", "1", "--out", "x.csv")
     assert code == 1
+
+
+@pytest.mark.parametrize("option, value", [("--theta1", "nan"), ("--t-max", "inf")])
+def test_evolve_rejects_non_finite(tmp_path, capsys, option, value):
+    out_path = tmp_path / "traj.csv"
+    args = {"--lambda": "0.5", "--t-max": "5", "--steps": "6", "--out": str(out_path)}
+    args[option] = value
+    code, _, err = run_cli(capsys, "evolve", *[x for pair in args.items() for x in pair])
+    assert code == 1
+    assert "finite" in err
+    assert not out_path.exists()
 
 
 def test_verify_passes_and_is_deterministic(capsys):

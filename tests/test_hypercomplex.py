@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from hopfcon import (OCT_UNITS, QUAT_UNITS, Octonion, Quaternion, oct_conj,
                      oct_inverse, oct_mul, quat_conj, quat_mul, quat_star)
-from hopfcon.hypercomplex import OCTONION_TABLE, QUATERNION_TABLE
+from hopfcon.hypercomplex import OCTONION_TABLE, QUATERNION_TABLE, products
 
 from reference_tables import (OCTONION_TABLE_TEXT, QUATERNION_TABLE_TEXT,
                               parse_table)
@@ -36,6 +36,7 @@ def test_quaternion_table_cells(i, j):
     expected[k] = sign
     product = quat_mul(QUAT_UNITS[i], QUAT_UNITS[j])
     assert product.coefficients() == tuple(expected)
+    assert tuple(products(np.eye(4), np.eye(4))[:, i, j]) == tuple(expected)
 
 
 @pytest.mark.parametrize("i", range(8))
@@ -46,6 +47,7 @@ def test_octonion_table_cells(i, j):
     expected[k] = sign
     product = oct_mul(OCT_UNITS[i], OCT_UNITS[j])
     assert product.coefficients() == tuple(expected)
+    assert tuple(products(np.eye(8), np.eye(8))[:, i, j]) == tuple(expected)
 
 
 def test_generated_tables_match_transcription():

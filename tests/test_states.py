@@ -34,6 +34,11 @@ def test_make_state_errors():
         make_state((2, 2), [2, 0, 0, 0])
 
 
+def test_make_state_rejects_nan():
+    with pytest.raises(NormalizationError):
+        make_state((2, 2), [math.nan, 0, 0, 1])
+
+
 def test_amplitudes_are_read_only():
     state = ghz_state(2)
     with pytest.raises(ValueError):
@@ -44,6 +49,12 @@ def test_pure_state_enforces_unit_norm():
     from hopfcon import PureState
     with pytest.raises(NormalizationError):
         PureState((2, 2), [1, 0, 0, 1])
+
+
+def test_pure_state_rejects_nan():
+    from hopfcon import PureState
+    with pytest.raises(NormalizationError):
+        PureState((2, 2), [math.nan, 0, 0, 1])
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
