@@ -12,7 +12,8 @@ from .dynamics import (LocalHamiltonianSpec, TrajectoryPoint,
                        evolve_closed_form, evolve_numeric, pauli_propagator,
                        schmidt_initial_state, schmidt_trajectory)
 from .errors import (DimensionMismatchError, HopfconError, NormalizationError,
-                     ParameterError, SplitMismatchError, ZeroNormError)
+                     ParameterError, SizeLimitError, SplitMismatchError,
+                     ZeroNormError)
 from .hypercomplex import (FANO_TRIPLES, OCT_UNITS, OCTONION_TABLE,
                            QUAT_UNITS, QUATERNION_TABLE, Octonion, Quaternion,
                            oct_conj, oct_inverse, oct_mul, products,
@@ -41,12 +42,12 @@ __all__ = [
     "NormalizationError", "OCT_UNITS", "OCTONION_TABLE", "OctProjection",
     "Octonion", "OctoState", "PackedState", "ParameterError", "PureState",
     "QUAT_UNITS", "QUATERNION_TABLE", "QuatProjection", "Quaternion",
-    "QuaterState", "SO2_GENERATOR", "SplitMismatchError", "TrajectoryPoint",
-    "ZeroNormError", "apply_local", "concurrence", "equivariance_error",
-    "evolve_closed_form", "evolve_numeric", "generator_concurrence",
-    "ghz_state", "index_of", "labels_of", "load_state", "make_state",
-    "minor_concurrence", "oct_concurrence", "oct_conj", "oct_inverse",
-    "oct_mul", "oct_pair_projections", "oct_project",
+    "QuaterState", "SO2_GENERATOR", "SizeLimitError", "SplitMismatchError",
+    "TrajectoryPoint", "ZeroNormError", "apply_local", "concurrence",
+    "equivariance_error", "evolve_closed_form", "evolve_numeric",
+    "generator_concurrence", "ghz_state", "index_of", "labels_of",
+    "load_state", "make_state", "minor_concurrence", "oct_concurrence",
+    "oct_conj", "oct_inverse", "oct_mul", "oct_pair_projections", "oct_project",
     "oct_projection_bilinear", "octonify", "pack", "pair_projections",
     "pauli_propagator", "products", "project",
     "quat_concurrence", "quat_conj", "quat_mul", "quat_pair_projections",

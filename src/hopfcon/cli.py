@@ -21,7 +21,7 @@ import click
 import numpy as np
 
 from .dynamics import LocalHamiltonianSpec, schmidt_trajectory
-from .errors import HopfconError
+from .errors import HopfconError, SizeLimitError
 from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
 from .projection import (concurrence, equivariance_error, pack,
@@ -243,6 +243,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except click.ClickException as exc:
         exc.show()
+        return 1
+    except SizeLimitError as exc:
+        click.echo(f"error: {exc}; concurrence --method hopf has no N^2 cap", err=True)
         return 1
     except HopfconError as exc:
         click.echo(f"error: {exc}", err=True)

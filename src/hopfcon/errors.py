@@ -23,3 +23,7 @@ class SplitMismatchError(HopfconError, ValueError):
 
 class ParameterError(HopfconError, ValueError):
     """A model parameter (angle, field magnitude, Schmidt weight) is out of range or not finite."""
+
+
+class SizeLimitError(HopfconError, ValueError):
+    """A state or an intermediate array would exceed a stated size limit."""

@@ -3,7 +3,8 @@
 Two routes that never touch the hypercomplex algebra: the sum of squared
 2x2 minors of the amplitude matrix (any bipartition) and the antisymmetric
 generator form (2 x N bipartitions).  Both are used to validate the
-projection pipeline.
+projection pipeline.  Minors matrices are held to MAX_PAIR_ENTRIES (N <= 2048)
+and all SO(N) generators together to MAX_AMPLITUDES entries (N <= 76).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import PureState
+from .states import MAX_AMPLITUDES, MAX_PAIR_ENTRIES, PureState, check_size
 
 SO2_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -22,15 +23,15 @@ def minor_concurrence(state: PureState, left_dim: int) -> float:
     """Concurrence 2*sqrt(sum of |2x2 minors|^2) of the amplitude matrix.
 
     Zero exactly when the matrix has rank 1, i.e. when the state is
-    separable across the bipartition.  Direct double loop; fine at desk
-    scale.
+    separable across the bipartition.  Row pair (i, j) gives the N x N
+    antisymmetric minors M_ik M_jl - M_jk M_il, each once above the diagonal.
     """
     matrix = state.split_matrix(left_dim)
-    n1, n2 = matrix.shape
+    check_size(matrix.shape[1] ** 2, MAX_PAIR_ENTRIES, "the matrix of minors")
     total = 0.0
-    for i, j in combinations(range(n1), 2):
-        for k, l in combinations(range(n2), 2):
-            total += abs(matrix[i, k] * matrix[j, l] - matrix[i, l] * matrix[j, k]) ** 2
+    for i, j in combinations(range(left_dim), 2):
+        minors = np.triu(np.outer(matrix[i], matrix[j]) - np.outer(matrix[j], matrix[i]), k=1)
+        total += np.vdot(minors, minors).real
     return 2.0 * math.sqrt(total)
 
 
@@ -54,6 +55,7 @@ def so_n_generators(n: int) -> list[np.ndarray]:
     """
     if n < 2:
         raise ValueError("so_n_generators requires n >= 2")
+    check_size(n ** 3 * (n - 1) // 2, MAX_AMPLITUDES, f"the generators of SO({n})")
     generators = []
     for omitted in combinations(range(n), n - 2):
         k, l = sorted(set(range(n)) - set(omitted))

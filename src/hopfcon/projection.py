@@ -10,6 +10,11 @@ amplitude matrix -- which is why the assembled quantity
 2 * sqrt(sum over pairs) is exactly the bipartite concurrence.  Both
 algebras run through one code path: the packed coefficients are real rows
 (N, d) with d = 2 * left_dim, and every product comes from products().
+concurrence() first compresses the amplitude matrix M to R^T, from a reduced
+QR M^T = Q R: Lambda^2(R^T Q^T) = Lambda^2(R^T) Lambda^2(Q^T) and Q^T has
+orthonormal rows, so the sum of squared minors is kept.  project() and
+pair_projections() stay pairwise on the N original coefficients; the N x N
+grid of pair_projections() is refused above MAX_PAIR_ENTRIES entries.
 
 Sign convention: the projection is always the literally computed
 hypercomplex product.  Its e2-part for a quaternion pair equals the
@@ -27,7 +32,8 @@ import numpy as np
 
 from .errors import SplitMismatchError
 from .hypercomplex import ALGEBRAS, Octonion, Quaternion, products
-from .states import LocalUnitary2, PureState, apply_local
+from .states import (MAX_PAIR_ENTRIES, LocalUnitary2, PureState, apply_local,
+                     check_size)
 
 # Conjugation keeps e0 and negates the rest; slice to the coefficient count.
 _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
@@ -105,6 +111,17 @@ class OctProjection:
 _PROJECTIONS = {4: QuatProjection, 8: OctProjection}
 
 
+def _rows(matrix: np.ndarray) -> np.ndarray:
+    """Coefficient rows, laid out as pack describes, of a left_dim x n amplitude matrix."""
+    if len(matrix) not in (2, 4):
+        raise SplitMismatchError(f"hypercomplex packing needs a left factor of dimension "
+                                 f"2 or 4, got {len(matrix)}")
+    columns = matrix.T.copy()
+    if len(matrix) == 4:
+        columns[:, 3] = np.conj(columns[:, 3])
+    return columns.view(float)
+
+
 def pack(state: PureState, left_dim: int) -> PackedState:
     """Pack a state split as [left_dim, N] into N hypercomplex coefficients.
 
@@ -115,13 +132,7 @@ def pack(state: PureState, left_dim: int) -> PackedState:
     2x2 minors (see oct_projection_bilinear).  Row j holds the real and
     imaginary parts of column j, interleaved.
     """
-    if left_dim not in (2, 4):
-        raise SplitMismatchError(f"hypercomplex packing needs a left factor of dimension "
-                                 f"2 or 4, got {left_dim}")
-    columns = state.split_matrix(left_dim).T.copy()
-    if left_dim == 4:
-        columns[:, 3] = np.conj(columns[:, 3])
-    return PackedState(columns.view(float))
+    return PackedState(_rows(state.split_matrix(left_dim)))
 
 
 def _complex_parts(grid: np.ndarray) -> np.ndarray:
@@ -181,6 +192,7 @@ def _pair_grid(rows: np.ndarray) -> np.ndarray:
 
 def pair_projections(packed: PackedState):
     """Projection of every coefficient pair (j, k), j < k, in lexicographic order."""
+    check_size(len(packed) ** 2, MAX_PAIR_ENTRIES, "the grid of coefficient pairs")
     projection = _PROJECTIONS[packed.rows.shape[1]]
     parts = _complex_parts(_pair_grid(packed.rows))
     # one row of Python numbers at a time, so peak memory stays near the result's
@@ -191,11 +203,16 @@ def pair_projections(packed: PackedState):
 def concurrence(state: PureState, left_dim: int) -> float:
     """Concurrence of a [left_dim, N] state read off the hypercomplex projection.
 
-    left_dim is 2 (quaternions) or 4 (octonions).  Returns
-    2 * sqrt(sum over pairs j < k of the squared non-complex parts, e2
-    and above, of c_j * conj(c_k)).
+    left_dim = d is 2 (quaternions) or 4 (octonions).  Returns 2 * sqrt(sum
+    over pairs j < k of the squared e2-and-above parts of c_j * conj(c_k)) over
+    the columns of R^T, where M^T = Q R is the reduced QR of the split matrix
+    M.  Lambda^2(M) = Lambda^2(R^T) Lambda^2(Q^T) and Q^T has orthonormal rows,
+    so the sum (not each pair) equals that over M's N columns.  O(d^2 N) time.
     """
-    hyper = _pair_grid(pack(state, left_dim).rows)[2:]
+    matrix = state.split_matrix(left_dim)
+    if matrix.shape[1] > left_dim:
+        matrix = np.linalg.qr(matrix.T, mode="r").T
+    hyper = _pair_grid(_rows(matrix))[2:]
     np.square(hyper, out=hyper)
     return 2.0 * math.sqrt(float(np.triu(hyper.sum(axis=0), k=1).sum()))
 

@@ -4,6 +4,8 @@ Amplitudes are stored row-major over the ket labels, leftmost factor most
 significant: for dims (2, 2, 2) the amplitude of |ijk> sits at index
 4*i + 2*j + k.  Regrouping a multi-qubit state into a bipartition takes the
 contiguous prefix of factors as the left side and is a pure reindexing.
+check_size refuses before allocating: states above MAX_AMPLITUDES = 2**24
+(24 qubits), N x N intermediates above MAX_PAIR_ENTRIES = 2**22 (N = 2048).
 """
 
 from __future__ import annotations
@@ -16,9 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (DimensionMismatchError, NormalizationError,
-                     SplitMismatchError, ZeroNormError)
+                     SizeLimitError, SplitMismatchError, ZeroNormError)
 
 NORM_TOLERANCE = 1e-6
+MAX_AMPLITUDES = 2 ** 24
+MAX_PAIR_ENTRIES = 2 ** 22
+
+
+def check_size(count: int, limit: int, what: str) -> None:
+    """Raise SizeLimitError, before anything is allocated, if count exceeds limit."""
+    if count > limit:
+        raise SizeLimitError(f"{what} would hold {count} entries, above the limit of {limit}")
 
 
 @dataclass(frozen=True)
@@ -120,6 +130,7 @@ def ghz_state(m: int) -> PureState:
     """m-qubit state (|0...0> + |1...1>)/sqrt(2)."""
     if m < 2:
         raise ValueError("ghz_state requires at least 2 qubits")
+    check_size(2 ** m, MAX_AMPLITUDES, f"the {m}-qubit GHZ state")
     amps = np.zeros(2 ** m, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return PureState((2,) * m, amps)
@@ -129,6 +140,7 @@ def w_state(m: int) -> PureState:
     """m-qubit state with equal weight 1/sqrt(m) on every single-excitation ket."""
     if m < 2:
         raise ValueError("w_state requires at least 2 qubits")
+    check_size(2 ** m, MAX_AMPLITUDES, f"the {m}-qubit W state")
     amps = np.zeros(2 ** m, dtype=complex)
     for i in range(m):
         amps[2 ** i] = 1.0 / math.sqrt(m)
@@ -139,7 +151,8 @@ def random_state(seed: int, dims) -> PureState:
     """Haar-like random pure state: i.i.d. complex normal amplitudes, normalized."""
     rng = np.random.default_rng(seed)
     dims = tuple(int(d) for d in dims)
-    n = int(np.prod(dims))
+    n = math.prod(dims)  # a Python int: np.prod wraps around at 2**63
+    check_size(n, MAX_AMPLITUDES, "the random state")
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return PureState(dims, amps / np.linalg.norm(amps))
 

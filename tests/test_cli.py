@@ -101,6 +101,24 @@ def test_split_without_right_factor_rejected(command, capsys):
     assert "cannot split" in err
 
 
+@pytest.mark.parametrize("source", [["--random", "1", "--qubits", "48"], ["--ghz", "48"]])
+def test_state_above_amplitude_limit_rejected(source, capsys):
+    code, out, err = run_cli(capsys, "concurrence", *source, "--split", "2xN",
+                             "--method", "hopf")
+    assert code == 1
+    assert out == ""
+    assert "--method hopf" in err
+
+
+def test_project_above_pair_limit_rejected(capsys):
+    # 13 qubits split 2xN: 4096 coefficients, a 4096 x 4096 pair grid
+    code, out, err = run_cli(capsys, "project", "--random", "1", "--qubits", "13",
+                             "--split", "2xN")
+    assert code == 1
+    assert out == ""
+    assert "limit" in err
+
+
 def test_project_bell(capsys):
     code, out, _ = run_cli(capsys, "project", "--ghz", "2", "--split", "2xN")
     assert code == 0

@@ -4,8 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hopfcon import (SO2_GENERATOR, apply_local, generator_concurrence,
-                     ghz_state, make_state, minor_concurrence, random_state,
+from hopfcon import (SO2_GENERATOR, SizeLimitError, apply_local,
+                     generator_concurrence, ghz_state, make_state, minor_concurrence, random_state,
                      random_unitary, so_n_generators, w_state)
 
 SQRT_HALF = 1 / math.sqrt(2)
@@ -131,3 +131,25 @@ def test_w3_generator_equals_others():
     expected = 2 * math.sqrt(2) / 3
     assert abs(generator_concurrence(w3) - expected) < 1e-13
     assert abs(minor_concurrence(w3, 2) - expected) < 1e-13
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 2), (2, 5), (3, 4), (4, 3), (4, 6)])
+def test_minor_concurrence_equals_literal_double_loop(n1, n2):
+    rng = np.random.default_rng(50 + n1 * n2)
+    for _ in range(10):
+        state = random_state(int(rng.integers(2 ** 31)), (n1, n2))
+        matrix = state.split_matrix(n1)
+        total = sum(abs(matrix[i, k] * matrix[j, l] - matrix[i, l] * matrix[j, k]) ** 2
+                    for i, j in combinations(range(n1), 2)
+                    for k, l in combinations(range(n2), 2))
+        assert abs(minor_concurrence(state, n1) - 2 * math.sqrt(total)) < 1e-14
+
+
+def test_oracles_refuse_matrices_above_limits():
+    state = random_state(1, (2,) * 13)  # N = 4096 columns for the 2xN split
+    with pytest.raises(SizeLimitError):
+        minor_concurrence(state, 2)
+    with pytest.raises(SizeLimitError):
+        generator_concurrence(state)
+    with pytest.raises(SizeLimitError):  # 77 * 76 / 2 generators of 77 x 77 entries
+        so_n_generators(77)

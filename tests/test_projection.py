@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hopfcon
-from hopfcon import (LocalUnitary2, Octonion, Quaternion, SplitMismatchError,
-                     apply_local, concurrence, ghz_state, make_state,
+from hopfcon import (LocalUnitary2, Octonion, Quaternion, SizeLimitError,
+                     SplitMismatchError, apply_local, concurrence, ghz_state,
+                     make_state,
                      minor_concurrence, oct_concurrence, oct_pair_projections,
                      oct_project, oct_projection_bilinear, octonify, pack,
                      pair_projections, project, quat_concurrence,
@@ -261,6 +263,100 @@ def test_concurrence_local_unitary_invariance():
             moved = apply_local(state, random_unitary(left_dim, rng),
                                 random_unitary(5, rng))
             assert abs(conc(state) - conc(moved)) < 1e-10
+
+
+# ------------------------------------------------------ compressed route
+
+def pairwise_concurrence(state, left_dim):
+    """2 * sqrt(sum of hypercomplex parts) over every pair of the N packed coefficients."""
+    pairs = pair_projections(pack(state, left_dim))
+    if left_dim == 2:
+        return 2 * math.sqrt(sum(abs(p.concurrence_part) ** 2 for _, _, p in pairs))
+    return 2 * math.sqrt(sum(p.hyper_norm_squared for _, _, p in pairs))
+
+
+def svd_concurrence(matrix):
+    """2 * sqrt(sum over i < j of s_i^2 s_j^2) from the singular values."""
+    w = np.linalg.svd(matrix, compute_uv=False) ** 2
+    return 2 * math.sqrt(sum(w[i] * w[j] for i in range(len(w)) for j in range(i + 1, len(w))))
+
+
+@pytest.mark.parametrize("left_dim", [2, 4])
+@pytest.mark.parametrize("m", range(3, 11))
+def test_compressed_concurrence_matches_pair_projections(m, left_dim):
+    for state in (random_state(100 + m, (2,) * m), ghz_state(m), w_state(m)):
+        assert abs(concurrence(state, left_dim) - pairwise_concurrence(state, left_dim)) <= 1e-12
+
+
+def test_compressed_concurrence_matches_svd_at_12_qubits():
+    for seed in range(4):
+        state = random_state(200 + seed, (2,) * 12)
+        for left_dim in (2, 4):
+            expected = svd_concurrence(state.split_matrix(left_dim))
+            assert abs(concurrence(state, left_dim) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [16, 20])
+def test_compressed_concurrence_closed_forms_past_the_pair_grid(m):
+    # the N x N pair grid at these sizes would need gigabytes to terabytes
+    for left_dim, p in ((2, 1 / m), (4, 2 / m)):
+        assert abs(concurrence(ghz_state(m), left_dim) - 1) <= 1e-12
+        assert abs(concurrence(w_state(m), left_dim) - 2 * math.sqrt(p * (1 - p))) <= 1e-12
+
+
+def schmidt_form_state(rng, m, left_dim, target):
+    """sqrt(lam)|u0 v0> + sqrt(1-lam)|u1 v1> under random local unitaries, and its concurrence."""
+    lam = target * target / (2 * (1 + math.sqrt(1 - target * target)))  # no cancellation
+    u = random_unitary(left_dim, rng)
+    v = random_unitary(2 ** m // left_dim, rng)
+    matrix = (math.sqrt(lam) * np.outer(u[:, 0], v[:, 0])
+              + math.sqrt(1 - lam) * np.outer(u[:, 1], v[:, 1]))
+    return make_state((2,) * m, matrix.ravel()), 2 * math.sqrt(lam * (1 - lam))
+
+
+@pytest.mark.parametrize("left_dim", [2, 4])
+@pytest.mark.parametrize("m", [4, 8, 10])
+def test_near_separable_absolute_error_bound(m, left_dim):
+    rng = np.random.default_rng(300 + 10 * m + left_dim)
+    for target in (1e-2, 1e-4, 2e-6, 2e-8, 1e-10):
+        state, expected = schmidt_form_state(rng, m, left_dim, target)
+        assert abs(concurrence(state, left_dim) - expected) <= 1e-14
+        assert abs(pairwise_concurrence(state, left_dim) - expected) <= 1e-14
+
+
+def test_pair_projections_refuse_grid_above_limit():
+    with pytest.raises(SizeLimitError):
+        pair_projections(pack(random_state(1, (2,) * 13), 2))
+    with pytest.raises(SizeLimitError):
+        pair_projections(pack(random_state(1, (2,) * 14), 4))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 8), st.sampled_from([2, 4]),
+       st.lists(st.floats(0, 1), min_size=4, max_size=4))
+def test_concurrence_bounded_and_locally_invariant(seed, m, left_dim, weights):
+    # Schmidt form U diag(sqrt(w)) V^T spans product through maximally entangled states
+    rng = np.random.default_rng(seed)
+    n = 2 ** m // left_dim
+    weights = np.array(weights[:min(left_dim, n)])
+    assume(weights.sum() > 1e-3)
+    u, v, k = random_unitary(left_dim, rng), random_unitary(n, rng), len(weights)
+    matrix = u[:, :k] * np.sqrt(weights / weights.sum()) @ v[:, :k].T
+    state = make_state((2,) * m, matrix.ravel())
+    value = concurrence(state, left_dim)
+    assert 0 <= value <= math.sqrt(2 * (left_dim - 1) / left_dim) + 1e-12
+    moved = apply_local(state, random_unitary(left_dim, rng), random_unitary(n, rng))
+    phased = make_state(state.dims, np.exp(2j * math.pi * rng.random()) * state.amplitudes)
+    assert abs(concurrence(moved, left_dim) - value) <= 1e-12
+    assert abs(concurrence(phased, left_dim) - value) <= 1e-12
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 8), st.sampled_from([2, 4]))
+def test_concurrence_vanishes_on_products(seed, m, left_dim):
+    assume(2 ** m > left_dim)
+    state = product_state(np.random.default_rng(seed), left_dim, 2 ** m // left_dim)
+    assert concurrence(state, left_dim) <= 1e-14
 
 
 # ----------------------------------------------------------- right module

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfcon import (DimensionMismatchError, LocalUnitary2, NormalizationError,
-                     ZeroNormError, apply_local, ghz_state, index_of,
+                     SizeLimitError, ZeroNormError, apply_local, ghz_state, index_of,
                      labels_of, load_state, make_state, random_local_unitary,
                      random_state, random_unitary, save_state,
                      state_from_json, state_to_json, w_state)
@@ -83,6 +83,14 @@ def test_w2_is_symmetric_bell():
 def test_builders_reject_single_qubit(builder):
     with pytest.raises(ValueError):
         builder(1)
+
+
+def test_builders_refuse_before_allocating_above_amplitude_limit():
+    for build in (ghz_state, w_state, lambda m: random_state(1, (2,) * m)):
+        with pytest.raises(SizeLimitError):
+            build(48)
+    with pytest.raises(SizeLimitError):  # 2**64 amplitudes: np.prod would wrap to 0
+        random_state(1, (2,) * 64)
 
 
 def test_apply_local_identity():
