@@ -32,6 +32,19 @@ from .states import (apply_local, ghz_state, load_state, random_local_unitary,
 SPLIT_LEFT_DIM = {"2xN": 2, "4xN": 4}
 DISCREPANCY_LIMIT = 1e-8
 
+# route(state, left_dim) per method; each lambda looks its function up in this
+# module when called, so a test can substitute one.
+ROUTES = {
+    "hopf": lambda state, left_dim: concurrence(state, left_dim),
+    "minors": lambda state, left_dim: minor_concurrence(state, left_dim),
+    "generators": lambda state, left_dim: generator_concurrence(state),
+}
+
+
+def _routes(left_dim: int) -> list[str]:
+    """The methods that apply to a [left_dim, N] split: the generator oracle is 2xN only."""
+    return [name for name in ROUTES if name != "generators" or left_dim == 2]
+
 
 def _fixed(value: float) -> str:
     # value + 0.0 normalizes -0.0 so formatting is sign-stable
@@ -81,30 +94,21 @@ def cli():
 
 @cli.command("concurrence")
 @_state_options
-@click.option("--method", type=click.Choice(["hopf", "minors", "generators", "all"]),
+@click.option("--method", type=click.Choice([*ROUTES, "all"]),
               default="all", show_default=True)
 @click.pass_context
 def cmd_concurrence(ctx, state_file, ghz, w, random_seed, qubits, split, method):
     """Compute the concurrence of a state by one or all methods."""
     state = _state_from_options(state_file, ghz, w, random_seed, qubits)
     left_dim = SPLIT_LEFT_DIM[split]
-    if method == "generators" and left_dim != 2:
-        raise click.UsageError("the generators method applies only to the 2xN split")
-
-    computations = {
-        "hopf": lambda: concurrence(state, left_dim),
-        "minors": lambda: minor_concurrence(state, left_dim),
-        "generators": lambda: generator_concurrence(state),
-    }
-    if method == "all":
-        methods = ["hopf", "minors"] + (["generators"] if left_dim == 2 else [])
-    else:
-        methods = [method]
-
-    values = {}
-    for name in methods:
-        values[name] = computations[name]()
-        click.echo(f"{name}: {_fixed(values[name])}")
+    routes = _routes(left_dim)
+    if method not in (*routes, "all"):
+        raise click.UsageError(f"the {method} method does not apply to the {split} split")
+    names = routes if method == "all" else [method]
+    # every route runs before anything is printed, so a refusal leaves stdout empty
+    values = {name: ROUTES[name](state, left_dim) for name in names}
+    for name, value in values.items():
+        click.echo(f"{name}: {_fixed(value)}")
     if method == "all":
         results = list(values.values())
         discrepancy = max(abs(x - y) for x in results for y in results)
@@ -166,9 +170,7 @@ def _suite_oracle_equivalence(rng, trials):
             seed = int(rng.integers(2 ** 31))
             for offset, left_dim in enumerate((2, 4)):
                 state = random_state(seed + offset, (left_dim, n))
-                values = [concurrence(state, left_dim), minor_concurrence(state, left_dim)]
-                if left_dim == 2:
-                    values.append(generator_concurrence(state))
+                values = [ROUTES[name](state, left_dim) for name in _routes(left_dim)]
                 worst = max(worst, max(values) - min(values))
     return worst, 1e-10
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
+
 # Index triples (i, j, k) with e_i * e_j = e_k; totally antisymmetric.
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7),
                 (6, 1, 7), (7, 2, 5), (5, 3, 6))
@@ -70,7 +72,8 @@ def products(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     d = a.shape[-1]
     if d not in _TABLE_ROWS or b.shape[-1] != d:
-        raise ValueError(f"products needs rows of 4 or 8 coefficients, got {d} and {b.shape[-1]}")
+        raise DimensionMismatchError(
+            f"products needs rows of 4 or 8 coefficients, got {d} and {b.shape[-1]}")
     right = (_TABLE_ROWS[d] @ b.T).reshape(d, d, len(b))  # right[k, p, j]
     return a @ right
 

@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .states import MAX_AMPLITUDES, MAX_PAIR_ENTRIES, PureState, check_size
 
 SO2_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -54,7 +55,7 @@ def so_n_generators(n: int) -> list[np.ndarray]:
     index sequence (omitted..., k, l).
     """
     if n < 2:
-        raise ValueError("so_n_generators requires n >= 2")
+        raise DimensionMismatchError("so_n_generators requires n >= 2")
     check_size(n ** 3 * (n - 1) // 2, MAX_AMPLITUDES, f"the generators of SO({n})")
     generators = []
     for omitted in combinations(range(n), n - 2):

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SplitMismatchError
+from .errors import DimensionMismatchError, SplitMismatchError
 from .hypercomplex import ALGEBRAS, Octonion, Quaternion, products
 from .states import (MAX_PAIR_ENTRIES, LocalUnitary2, PureState, apply_local,
-                     check_size)
+                     check_norm, check_size)
 
 # Conjugation keeps e0 and negates the rest; slice to the coefficient count.
 _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
@@ -43,7 +43,8 @@ class PackedState:
     """State as N quaternion or octonion coefficients with unit total norm.
 
     Stored as read-only real rows (N, d), d = 4 or 8.  Built from such rows
-    or from a sequence of Quaternion or Octonion coefficients.
+    or from a sequence of Quaternion or Octonion coefficients.  check_norm
+    applies PureState's tolerance, so every state PureState accepts packs.
     """
 
     def __init__(self, coefficients):
@@ -51,11 +52,11 @@ class PackedState:
             coefficients = [c.coefficients() for c in coefficients]
         rows = np.array(coefficients, dtype=float)
         if rows.ndim != 2 or rows.shape[1] not in ALGEBRAS:
-            raise ValueError(f"expected rows of 4 or 8 coefficients, got shape {rows.shape}")
+            raise DimensionMismatchError(
+                f"expected rows of 4 or 8 coefficients, got shape {rows.shape}")
         rows.flags.writeable = False
         self.rows = rows
-        if not abs(self.norm_squared() - 1.0) <= 1e-8:  # also rejects NaN
-            raise ValueError(f"coefficients have total norm^2 {self.norm_squared()}, expected 1")
+        check_norm(math.sqrt(self.norm_squared()), "coefficient")
 
     @property
     def coefficients(self) -> tuple:
@@ -265,7 +266,7 @@ def right_module_action(qstate: PackedState, coefficient_unitary: LocalUnitary2,
     exactly the SU(2) matrix of fiber_unitary on the packed qubit.
     """
     if len(qstate) != 2 or qstate.rows.shape[1] != 4:
-        raise ValueError("right_module_action expects exactly 2 quaternion coefficients")
+        raise DimensionMismatchError("right_module_action expects 2 quaternion coefficients")
     mixed = coefficient_unitary.matrix @ qstate.rows.view(complex)
     scalar = Quaternion.from_complex_pair(fiber_unitary.a, -np.conj(fiber_unitary.b))
     return PackedState(products(mixed.view(float), [scalar.coefficients()])[:, :, 0].T)
@@ -310,7 +311,7 @@ def transformed_schmidt_part(qstate: PackedState,
         S' = (|q1|^2 - |q0|^2) * a * b + a^2 * S - b^2 * conj(S)
     """
     if len(qstate) != 2:
-        raise ValueError("transformed_schmidt_part expects exactly 2 quaternion coefficients")
+        raise DimensionMismatchError("transformed_schmidt_part expects 2 quaternion coefficients")
     q0, q1 = qstate.coefficients
     schmidt = project(q0, q1).schmidt
     a, b = coefficient_unitary.a, coefficient_unitary.b

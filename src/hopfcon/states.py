@@ -31,6 +31,13 @@ def check_size(count: int, limit: int, what: str) -> None:
         raise SizeLimitError(f"{what} would hold {count} entries, above the limit of {limit}")
 
 
+def check_norm(norm: float, what: str) -> None:
+    """Raise NormalizationError unless norm is within NORM_TOLERANCE of 1."""
+    if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
+        raise NormalizationError(f"{what} norm {norm} deviates from 1 by more than "
+                                 f"{NORM_TOLERANCE}")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state over an ordered list of tensor factors."""
@@ -39,21 +46,22 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        """The one check of a state: integer dims >= 2, one amplitude per ket, unit norm."""
+        try:
+            given = tuple(self.dims)
+            dims = tuple(int(d) for d in given)
+        except (TypeError, ValueError, OverflowError):  # not a sequence of finite numbers
+            given, dims = None, ()
+        if dims != given or any(d < 2 for d in dims):  # 2.0 passes, 2.5 and "2" do not
+            raise DimensionMismatchError(f"dims must be integers >= 2, got {self.dims!r}")
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
         amps.flags.writeable = False
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
-        if any(d < 2 for d in self.dims):
-            raise DimensionMismatchError(f"every factor dimension must be >= 2, got {self.dims}")
-        if amps.shape != (int(np.prod(self.dims)),):
+        if amps.shape != (math.prod(dims),):  # math.prod: np.prod wraps around at 2**63
             raise DimensionMismatchError(
-                f"expected {int(np.prod(self.dims))} amplitudes for dims {self.dims}, "
-                f"got shape {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN amplitudes
-            raise NormalizationError(
-                f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}; "
-                "use make_state to renormalize near-unit input")
+                f"expected {math.prod(dims)} amplitudes for dims {dims}, got shape {amps.shape}")
+        check_norm(float(np.linalg.norm(amps)), "state")
 
     @property
     def total_dim(self) -> int:
@@ -95,7 +103,7 @@ class LocalUnitary2:
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
         if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-12:
-            raise ValueError("|a|^2 + |b|^2 must equal 1 within 1e-12")
+            raise NormalizationError("|a|^2 + |b|^2 must equal 1 within 1e-12")
 
     @property
     def matrix(self) -> np.ndarray:
@@ -114,22 +122,17 @@ def make_state(dims, amplitudes) -> PureState:
     NormalizationError.
     """
     amps = np.asarray(amplitudes, dtype=complex).ravel()
-    dims = tuple(int(d) for d in dims)
-    if amps.size != int(np.prod(dims)):
-        raise DimensionMismatchError(
-            f"dims {dims} require {int(np.prod(dims))} amplitudes, got {amps.size}")
     norm = float(np.linalg.norm(amps))
     if norm < 1e-9:
         raise ZeroNormError("state vector has zero norm")
-    if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN amplitudes
-        raise NormalizationError(f"state norm {norm} deviates from 1 by more than {NORM_TOLERANCE}")
-    return PureState(dims, amps / norm)
+    given = PureState(dims, amps)  # checks dims, amplitude count and norm of the input
+    return PureState(given.dims, given.amplitudes / norm)
 
 
 def ghz_state(m: int) -> PureState:
     """m-qubit state (|0...0> + |1...1>)/sqrt(2)."""
     if m < 2:
-        raise ValueError("ghz_state requires at least 2 qubits")
+        raise DimensionMismatchError("ghz_state requires at least 2 qubits")
     check_size(2 ** m, MAX_AMPLITUDES, f"the {m}-qubit GHZ state")
     amps = np.zeros(2 ** m, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
@@ -139,7 +142,7 @@ def ghz_state(m: int) -> PureState:
 def w_state(m: int) -> PureState:
     """m-qubit state with equal weight 1/sqrt(m) on every single-excitation ket."""
     if m < 2:
-        raise ValueError("w_state requires at least 2 qubits")
+        raise DimensionMismatchError("w_state requires at least 2 qubits")
     check_size(2 ** m, MAX_AMPLITUDES, f"the {m}-qubit W state")
     amps = np.zeros(2 ** m, dtype=complex)
     for i in range(m):
@@ -209,7 +212,7 @@ def index_of(labels, dims) -> int:
     index = 0
     for label, dim in zip(labels, dims):
         if not 0 <= label < dim:
-            raise ValueError(f"label {label} out of range for dimension {dim}")
+            raise DimensionMismatchError(f"label {label} out of range for dimension {dim}")
         index = index * dim + label
     return index
 
@@ -221,7 +224,7 @@ def labels_of(index: int, dims) -> tuple[int, ...]:
         labels.append(index % dim)
         index //= dim
     if index:
-        raise ValueError("index out of range for the given dims")
+        raise DimensionMismatchError("index out of range for the given dims")
     return tuple(reversed(labels))
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfcon
-from hopfcon import (LocalUnitary2, Octonion, Quaternion, SizeLimitError,
-                     SplitMismatchError, apply_local, concurrence, ghz_state,
-                     make_state,
+from hopfcon import (LocalUnitary2, NormalizationError, Octonion, PureState,
+                     Quaternion, SizeLimitError, SplitMismatchError, apply_local,
+                     concurrence, ghz_state, make_state,
                      minor_concurrence, oct_concurrence, oct_pair_projections,
                      oct_project, oct_projection_bilinear, octonify, pack,
                      pair_projections, project, quat_concurrence,
@@ -453,4 +453,17 @@ def test_traced_names_keep_their_module_and_name():
 
 def test_quaterstate_rejects_unnormalized():
     with pytest.raises(ValueError):
+        QuaterState((Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0)))
+
+
+@pytest.mark.parametrize("left_dim", [2, 4])
+def test_pack_accepts_every_state_pure_state_accepts(left_dim):
+    # norm 1 + 5e-7 is inside PureState's tolerance; pack must not apply a tighter one
+    unit = random_state(41, (2, 2, 2))
+    state = PureState(unit.dims, (1 + 5e-7) * unit.amplitudes)
+    assert abs(pairwise_concurrence(state, left_dim) - concurrence(state, left_dim)) <= 1e-12
+
+
+def test_quaterstate_of_unnormalized_quaternions_raises_normalization_error():
+    with pytest.raises(NormalizationError):
         QuaterState((Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0)))

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hopfcon import (DimensionMismatchError, LocalUnitary2, NormalizationError,
-                     SizeLimitError, ZeroNormError, apply_local, ghz_state, index_of,
-                     labels_of, load_state, make_state, random_local_unitary,
-                     random_state, random_unitary, save_state,
-                     state_from_json, state_to_json, w_state)
+from hopfcon import (DimensionMismatchError, HopfconError, LocalUnitary2,
+                     NormalizationError, PackedState, SizeLimitError, ZeroNormError,
+                     apply_local, ghz_state, index_of, labels_of, load_state, make_state,
+                     products, quaternify, random_local_unitary, random_state,
+                     random_unitary, right_module_action, save_state, so_n_generators,
+                     state_from_json, state_to_json, transformed_schmidt_part, w_state)
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -197,3 +198,39 @@ def test_json_rejects_non_normalized():
         state_from_json(json.dumps(payload))
     with pytest.raises(DimensionMismatchError):
         state_from_json(json.dumps({"dims": [2, 2]}))
+
+
+MALFORMED_DIMS = [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64]
+
+
+@pytest.mark.parametrize("dims", MALFORMED_DIMS, ids=["scalar", "2.5", "a", "null", "64x2"])
+def test_json_rejects_malformed_dims(dims):
+    payload = {"dims": dims, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    with pytest.raises(DimensionMismatchError) as info:
+        state_from_json(json.dumps(payload))
+    if dims == [2] * 64:  # the true count, which np.prod would wrap to 0
+        assert str(2 ** 64) in str(info.value)
+
+
+def test_json_accepts_integral_float_dims():
+    payload = {"dims": [2.0, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
+    assert state_from_json(json.dumps(payload)).dims == (2, 2)
+
+
+@pytest.mark.parametrize("bad_input", [
+    lambda: ghz_state(1),
+    lambda: w_state(1),
+    lambda: LocalUnitary2(1.0, 1.0),
+    lambda: so_n_generators(1),
+    lambda: products([[1.0, 0, 0]], [[1.0, 0, 0]]),
+    lambda: PackedState(np.eye(2, 3)),
+    lambda: right_module_action(quaternify(ghz_state(3)), LocalUnitary2(1, 0),
+                                LocalUnitary2(1, 0)),
+    lambda: transformed_schmidt_part(quaternify(ghz_state(3)), LocalUnitary2(1, 0)),
+    lambda: index_of((2,), (2,)),
+    lambda: labels_of(4, (2,)),
+], ids=["ghz", "w", "unitary", "generators", "products", "packed-shape", "module-action",
+        "schmidt-part", "index-of", "labels-of"])
+def test_bad_input_raises_a_hopfcon_error(bad_input):
+    with pytest.raises(HopfconError):
+        bad_input()
