@@ -3,8 +3,11 @@
 Two routes that never touch the hypercomplex algebra: the sum of squared
 2x2 minors of the amplitude matrix (any bipartition) and the antisymmetric
 generator form (2 x N bipartitions).  Both are used to validate the
-projection pipeline.  Minors matrices are held to MAX_PAIR_ENTRIES (N <= 2048)
-and all SO(N) generators together to MAX_AMPLITUDES entries (N <= 76).
+projection pipeline.  Minors matrices are held to MAX_PAIR_ENTRIES entries
+(N <= 2048), the generator form to MAX_PAIR_ENTRIES generators (N <= 2896) and
+the dense so_n_generators list to MAX_AMPLITUDES entries (N <= 76).  The
+generator form never calls the minors route and never forms the contracted
+product M^H S conj(M), whose entries are the minors.
 """
 
 from __future__ import annotations
@@ -36,14 +39,19 @@ def minor_concurrence(state: PureState, left_dim: int) -> float:
     return 2.0 * math.sqrt(total)
 
 
-def _permutation_sign(perm) -> int:
-    sign = 1
-    perm = list(perm)
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+def _generator_axes(n: int):
+    """Axes and signs of the SO(n) generators in literal order, grouped by k.
+
+    The generator omitting the sorted multi-index of n-2 axes has its +-1
+    pair on the two remaining axes k < l.  Lexicographic order of the
+    omitted multi-index is k descending, then l descending.  The sign of the
+    Levi-Civita symbol of (omitted..., k, l) is (-1)^((n-2-k) + (n-1-l)), one
+    factor per inversion: n-2-k omitted axes lie above k and n-1-l above l.
+    Yields k with the arrays of its l values and signs.
+    """
+    for k in range(n - 2, -1, -1):
+        ls = np.arange(n - 1, k, -1)
+        yield k, ls, (-1.0) ** ((n - 2 - k) + (n - 1 - ls))
 
 
 def so_n_generators(n: int) -> list[np.ndarray]:
@@ -58,13 +66,12 @@ def so_n_generators(n: int) -> list[np.ndarray]:
         raise DimensionMismatchError("so_n_generators requires n >= 2")
     check_size(n ** 3 * (n - 1) // 2, MAX_AMPLITUDES, f"the generators of SO({n})")
     generators = []
-    for omitted in combinations(range(n), n - 2):
-        k, l = sorted(set(range(n)) - set(omitted))
-        sign = _permutation_sign(list(omitted) + [k, l])
-        gen = np.zeros((n, n))
-        gen[k, l] = sign
-        gen[l, k] = -sign
-        generators.append(gen)
+    for k, ls, signs in _generator_axes(n):
+        for l, sign in zip(ls, signs):
+            gen = np.zeros((n, n))
+            gen[k, l] = sign
+            gen[l, k] = -sign
+            generators.append(gen)
     return generators
 
 
@@ -76,12 +83,20 @@ def generator_concurrence(state: PureState) -> float:
     computational basis.  No extra prefactor is needed: each generator
     contributes 4|C_pq|^2 for one column pair, so the square root equals
     minor_concurrence (the Bell regression test pins this normalization).
+
+    Each generator is evaluated from its two nonzeros, never built: with
+    L[k, l] = s = -L[l, k] and X = S conj(M), the term <psi| vec(S conj(M) L^T)
+    is s (conj(M_k) . X_l - conj(M_l) . X_k) over the columns of M.  The walk
+    is vectorized over l for each k, so it costs O(N^2) time and O(N) memory.
     """
     matrix = state.split_matrix(2)
+    n = matrix.shape[1]
+    check_size(n * (n - 1) // 2, MAX_PAIR_ENTRIES, f"the generators of SO({n})")
     conj = np.conj(matrix)
-    psi = matrix.ravel()
+    x = SO2_GENERATOR @ conj
     total = 0.0
-    for gen in so_n_generators(matrix.shape[1]):
-        tilde = SO2_GENERATOR @ conj @ gen.T
-        total += abs(np.vdot(psi, tilde.ravel())) ** 2
+    for k, _, signs in _generator_axes(n):
+        # columns l = n-1, ..., k+1 as views: the same as indexing with the yielded l array
+        terms = signs * (conj[:, k] @ x[:, :k:-1] - x[:, k] @ conj[:, :k:-1])
+        total += np.vdot(terms, terms).real
     return math.sqrt(total)

@@ -38,6 +38,18 @@ def check_norm(norm: float, what: str) -> None:
                                  f"{NORM_TOLERANCE}")
 
 
+def check_dims(dims) -> tuple[int, ...]:
+    """Dims as a tuple of ints; DimensionMismatchError unless one or more integers >= 2."""
+    try:
+        given = tuple(dims)
+        checked = tuple(int(d) for d in given)
+    except (TypeError, ValueError, OverflowError):  # not a sequence of finite numbers
+        given, checked = None, ()
+    if not checked or checked != given or min(checked) < 2:  # 2.0 passes, 2.5 and "2" do not
+        raise DimensionMismatchError(f"dims must be one or more integers >= 2, got {dims!r}")
+    return checked
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state over an ordered list of tensor factors."""
@@ -47,13 +59,7 @@ class PureState:
 
     def __post_init__(self):
         """The one check of a state: integer dims >= 2, one amplitude per ket, unit norm."""
-        try:
-            given = tuple(self.dims)
-            dims = tuple(int(d) for d in given)
-        except (TypeError, ValueError, OverflowError):  # not a sequence of finite numbers
-            given, dims = None, ()
-        if dims != given or any(d < 2 for d in dims):  # 2.0 passes, 2.5 and "2" do not
-            raise DimensionMismatchError(f"dims must be integers >= 2, got {self.dims!r}")
+        dims = check_dims(self.dims)
         amps = np.asarray(self.amplitudes, dtype=complex).copy()
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
@@ -153,7 +159,7 @@ def w_state(m: int) -> PureState:
 def random_state(seed: int, dims) -> PureState:
     """Haar-like random pure state: i.i.d. complex normal amplitudes, normalized."""
     rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in dims)
+    dims = check_dims(dims)  # before counting, so int() never rounds a bad dim
     n = math.prod(dims)  # a Python int: np.prod wraps around at 2**63
     check_size(n, MAX_AMPLITUDES, "the random state")
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -119,6 +119,15 @@ def test_project_above_pair_limit_rejected(capsys):
     assert "limit" in err
 
 
+def test_method_all_runs_every_oracle_at_12_qubits(capsys):
+    # N = 2048: the minors matrix is at its limit, the generator walk well inside its own
+    code, out, _ = run_cli(capsys, "concurrence", "--random", "1", "--qubits", "12",
+                           "--split", "2xN", "--method", "all")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "hopf", "minors", "generators", "max discrepancy"]
+
+
 def test_method_all_prints_nothing_when_a_route_refuses(capsys):
     # hopf runs at 13 qubits; the minors oracle then refuses its 4096 x 4096 matrix
     code, out, err = run_cli(capsys, "concurrence", "--random", "1", "--qubits", "13",
@@ -128,12 +137,21 @@ def test_method_all_prints_nothing_when_a_route_refuses(capsys):
     assert "limit" in err
 
 
-@pytest.mark.parametrize("dims", [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64],
-                         ids=["scalar", "2.5", "a", "null", "64x2"])
+@pytest.mark.parametrize("dims", [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, []],
+                         ids=["scalar", "2.5", "a", "null", "64x2", "empty"])
 def test_state_file_with_malformed_dims_rejected(dims, tmp_path, capsys):
     path = tmp_path / "dims.json"
     path.write_text(json.dumps({"dims": dims,
                                 "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}))
+    code, out, err = run_cli(capsys, "concurrence", "--state", str(path), "--split", "2xN")
+    assert code == 1
+    assert out == ""
+    assert "cannot load state file" in err
+
+
+def test_state_file_with_no_factors_rejected(tmp_path, capsys):
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"dims": [], "amplitudes": [[1, 0]]}))
     code, out, err = run_cli(capsys, "concurrence", "--state", str(path), "--split", "2xN")
     assert code == 1
     assert out == ""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -153,3 +154,46 @@ def test_oracles_refuse_matrices_above_limits():
         generator_concurrence(state)
     with pytest.raises(SizeLimitError):  # 77 * 76 / 2 generators of 77 x 77 entries
         so_n_generators(77)
+
+
+def inversion_sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+    return -1 if inversions % 2 else 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_closed_form_generator_signs_match_inversion_count(n):
+    gens = so_n_generators(n)
+    omitted_all = list(combinations(range(n), n - 2))
+    assert len(gens) == len(omitted_all)
+    for omitted, gen in zip(omitted_all, gens):
+        k, l = sorted(set(range(n)) - set(omitted))
+        sign = inversion_sign(list(omitted) + [k, l])
+        assert gen[k, l] == sign and gen[l, k] == -sign
+        assert np.count_nonzero(gen) == 2
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_generator_concurrence_equals_literal_dense_sum(n):
+    rng = np.random.default_rng(70 + n)
+    gens = so_n_generators(n)
+    for _ in range(5):
+        state = random_state(int(rng.integers(2 ** 31)), (2, n))
+        matrix = state.split_matrix(2)
+        psi = matrix.ravel()
+        total = sum(abs(np.vdot(psi, (SO2_GENERATOR @ np.conj(matrix) @ gen.T).ravel())) ** 2
+                    for gen in gens)
+        assert abs(generator_concurrence(state) - math.sqrt(total)) <= 1e-14
+
+
+def test_generator_concurrence_at_12_qubits_in_linear_memory():
+    state = random_state(12, (2,) * 12)  # N = 2048 columns, 2096128 generators
+    tracemalloc.start()
+    try:
+        value = generator_concurrence(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - minor_concurrence(state, 2)) <= 1e-12
+    # O(N): a few copies of the 2 x N matrix; one N x N array would be 64 MiB
+    assert peak <= 32 * state.amplitudes.nbytes

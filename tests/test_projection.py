@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hopfcon
 from hopfcon import (LocalUnitary2, NormalizationError, Octonion, PureState,
                      Quaternion, SizeLimitError, SplitMismatchError, apply_local,
-                     concurrence, ghz_state, make_state,
+                     concurrence, generator_concurrence, ghz_state, make_state,
                      minor_concurrence, oct_concurrence, oct_pair_projections,
                      oct_project, oct_projection_bilinear, octonify, pack,
                      pair_projections, project, quat_concurrence,
@@ -322,6 +322,8 @@ def test_near_separable_absolute_error_bound(m, left_dim):
         state, expected = schmidt_form_state(rng, m, left_dim, target)
         assert abs(concurrence(state, left_dim) - expected) <= 1e-14
         assert abs(pairwise_concurrence(state, left_dim) - expected) <= 1e-14
+        if left_dim == 2:
+            assert abs(generator_concurrence(state) - expected) <= 1e-14
 
 
 def test_pair_projections_refuse_grid_above_limit():

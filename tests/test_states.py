@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hopfcon import (DimensionMismatchError, HopfconError, LocalUnitary2,
-                     NormalizationError, PackedState, SizeLimitError, ZeroNormError,
+                     NormalizationError, PackedState, PureState, SizeLimitError, ZeroNormError,
                      apply_local, ghz_state, index_of, labels_of, load_state, make_state,
                      products, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state, so_n_generators,
@@ -200,16 +200,31 @@ def test_json_rejects_non_normalized():
         state_from_json(json.dumps({"dims": [2, 2]}))
 
 
-MALFORMED_DIMS = [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64]
+MALFORMED_DIMS = [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, []]
 
 
-@pytest.mark.parametrize("dims", MALFORMED_DIMS, ids=["scalar", "2.5", "a", "null", "64x2"])
+@pytest.mark.parametrize("dims", MALFORMED_DIMS,
+                         ids=["scalar", "2.5", "a", "null", "64x2", "empty"])
 def test_json_rejects_malformed_dims(dims):
     payload = {"dims": dims, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(DimensionMismatchError) as info:
         state_from_json(json.dumps(payload))
     if dims == [2] * 64:  # the true count, which np.prod would wrap to 0
         assert str(2 ** 64) in str(info.value)
+
+
+def test_random_state_applies_the_dims_rule_before_counting():
+    for dims in ((2.5, 2), (), (1, 4), ("2", 2)):
+        with pytest.raises(DimensionMismatchError):
+            random_state(1, dims)
+
+
+def test_state_needs_at_least_one_factor():
+    with pytest.raises(DimensionMismatchError):
+        PureState((), [1.0])
+    with pytest.raises(DimensionMismatchError):  # one amplitude matches math.prod(()) == 1
+        state_from_json(json.dumps({"dims": [], "amplitudes": [[1.0, 0.0]]}))
+    assert PureState((2,), [1.0, 0.0]).dims == (2,)
 
 
 def test_json_accepts_integral_float_dims():
