@@ -20,7 +20,7 @@ from .hypercomplex import (FANO_TRIPLES, OCT_UNITS, OCTONION_TABLE,
                            quat_conj, quat_mul, quat_star)
 from .oracles import (SO2_GENERATOR, generator_concurrence, minor_concurrence,
                       so_n_generators)
-from .projection import (OctoState, OctProjection, PackedState, QuaterState,
+from .projection import (OctProjection, PackedState, QuaterState,
                          QuatProjection, concurrence, equivariance_error,
                          oct_concurrence, oct_pair_projections, oct_project,
                          oct_projection_bilinear, octonify, pack,
@@ -40,7 +40,7 @@ __all__ = [
     "DimensionMismatchError", "FANO_TRIPLES", "HopfconError",
     "IDENTITY_UNITARY", "LocalHamiltonianSpec", "LocalUnitary2",
     "NormalizationError", "OCT_UNITS", "OCTONION_TABLE", "OctProjection",
-    "Octonion", "OctoState", "PackedState", "ParameterError", "PureState",
+    "Octonion", "PackedState", "ParameterError", "PureState",
     "QUAT_UNITS", "QUATERNION_TABLE", "QuatProjection", "Quaternion",
     "QuaterState", "SO2_GENERATOR", "SizeLimitError", "SplitMismatchError",
     "TrajectoryPoint", "ZeroNormError", "apply_local", "concurrence",

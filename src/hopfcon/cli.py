@@ -26,8 +26,8 @@ from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
 from .projection import (concurrence, equivariance_error, pack,
                          pair_projections)
-from .states import (apply_local, ghz_state, load_state, random_local_unitary,
-                     random_state, random_unitary, w_state)
+from .states import (apply_local, check_factors, ghz_state, load_state,
+                     random_local_unitary, random_state, random_unitary, w_state)
 
 SPLIT_LEFT_DIM = {"2xN": 2, "4xN": 4}
 DISCREPANCY_LIMIT = 1e-8
@@ -64,6 +64,7 @@ def _state_from_options(state_file, ghz, w, random_seed, qubits):
         return ghz_state(ghz)
     if w is not None:
         return w_state(w)
+    check_factors(qubits, "the random state")  # before (2,) * qubits is built
     return random_state(random_seed, (2,) * qubits)
 
 
@@ -75,7 +76,7 @@ def _state_options(command):
                      help="Build the m-qubit GHZ state."),
         click.option("--w", type=click.IntRange(min=2), default=None,
                      help="Build the m-qubit W state."),
-        click.option("--random", "random_seed", type=int, default=None,
+        click.option("--random", "random_seed", type=click.IntRange(min=0), default=None,
                      help="Build a seeded random state (see --qubits)."),
         click.option("--qubits", type=click.IntRange(min=2), default=2,
                      show_default=True, help="Qubit count for --random."),
@@ -217,7 +218,7 @@ VERIFY_SUITES = (
 
 
 @cli.command("verify")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=25, show_default=True)
 @click.pass_context
 def cmd_verify(ctx, seed, trials):

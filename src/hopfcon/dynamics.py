@@ -52,10 +52,6 @@ class LocalHamiltonianSpec:
                          math.sin(self.theta) * math.sin(self.phi),
                          math.cos(self.theta)])
 
-    def matrix(self) -> np.ndarray:
-        nx, ny, nz = self.direction()
-        return self.r * (nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z)
-
 
 @dataclass(frozen=True)
 class TrajectoryPoint:

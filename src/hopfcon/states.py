@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, NormalizationError,
+from .errors import (DimensionMismatchError, NormalizationError, ParameterError,
                      SizeLimitError, SplitMismatchError, ZeroNormError)
 
 NORM_TOLERANCE = 1e-6
@@ -29,6 +29,13 @@ def check_size(count: int, limit: int, what: str) -> None:
     """Raise SizeLimitError, before anything is allocated, if count exceeds limit."""
     if count > limit:
         raise SizeLimitError(f"{what} would hold {count} entries, above the limit of {limit}")
+
+
+def check_factors(m: int, what: str) -> None:
+    """check_size of m factors of dimension >= 2 against MAX_AMPLITUDES; 2**m is never formed."""
+    if m > math.log2(MAX_AMPLITUDES):
+        raise SizeLimitError(f"{what} would hold at least 2**{m} entries, above the limit of "
+                             f"{MAX_AMPLITUDES}")
 
 
 def check_norm(norm: float, what: str) -> None:
@@ -64,6 +71,10 @@ class PureState:
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
+        if len(dims) > 64:  # 2**65 amplitudes or more, which no array holds: not multiplied out
+            raise DimensionMismatchError(
+                f"{len(dims)} factors need at least 2**{len(dims)} amplitudes, got shape "
+                f"{amps.shape}")
         if amps.shape != (math.prod(dims),):  # math.prod: np.prod wraps around at 2**63
             raise DimensionMismatchError(
                 f"expected {math.prod(dims)} amplitudes for dims {dims}, got shape {amps.shape}")
@@ -139,7 +150,7 @@ def ghz_state(m: int) -> PureState:
     """m-qubit state (|0...0> + |1...1>)/sqrt(2)."""
     if m < 2:
         raise DimensionMismatchError("ghz_state requires at least 2 qubits")
-    check_size(2 ** m, MAX_AMPLITUDES, f"the {m}-qubit GHZ state")
+    check_factors(m, f"the {m}-qubit GHZ state")
     amps = np.zeros(2 ** m, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return PureState((2,) * m, amps)
@@ -149,7 +160,7 @@ def w_state(m: int) -> PureState:
     """m-qubit state with equal weight 1/sqrt(m) on every single-excitation ket."""
     if m < 2:
         raise DimensionMismatchError("w_state requires at least 2 qubits")
-    check_size(2 ** m, MAX_AMPLITUDES, f"the {m}-qubit W state")
+    check_factors(m, f"the {m}-qubit W state")
     amps = np.zeros(2 ** m, dtype=complex)
     for i in range(m):
         amps[2 ** i] = 1.0 / math.sqrt(m)
@@ -158,8 +169,12 @@ def w_state(m: int) -> PureState:
 
 def random_state(seed: int, dims) -> PureState:
     """Haar-like random pure state: i.i.d. complex normal amplitudes, normalized."""
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError as exc:  # a negative seed
+        raise ParameterError(f"seed must be non-negative, got {seed}") from exc
     dims = check_dims(dims)  # before counting, so int() never rounds a bad dim
+    check_factors(len(dims), "the random state")  # before math.prod, which is slow on many factors
     n = math.prod(dims)  # a Python int: np.prod wraps around at 2**63
     check_size(n, MAX_AMPLITUDES, "the random state")
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -101,13 +101,26 @@ def test_split_without_right_factor_rejected(command, capsys):
     assert "cannot split" in err
 
 
-@pytest.mark.parametrize("source", [["--random", "1", "--qubits", "48"], ["--ghz", "48"]])
+@pytest.mark.parametrize("source", [["--random", "1", "--qubits", "48"], ["--ghz", "48"],
+                                    ["--ghz", "15000"], ["--w", "15000"],
+                                    ["--random", "1", "--qubits", "15000"],
+                                    ["--random", "1", "--qubits", "1000000"]])
 def test_state_above_amplitude_limit_rejected(source, capsys):
     code, out, err = run_cli(capsys, "concurrence", *source, "--split", "2xN",
                              "--method", "hopf")
     assert code == 1
     assert out == ""
     assert "--method hopf" in err
+
+
+@pytest.mark.parametrize("args", [["concurrence", "--random", "-1", "--split", "2xN"],
+                                  ["project", "--random", "-1", "--split", "2xN"],
+                                  ["verify", "--seed", "-3"]])
+def test_negative_seed_is_a_usage_error(args, capsys):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
 
 
 def test_project_above_pair_limit_rejected(capsys):

@@ -92,6 +92,11 @@ def test_builders_refuse_before_allocating_above_amplitude_limit():
             build(48)
     with pytest.raises(SizeLimitError):  # 2**64 amplitudes: np.prod would wrap to 0
         random_state(1, (2,) * 64)
+    for build in (ghz_state, w_state, lambda m: random_state(1, (2,) * m)):
+        with pytest.raises(SizeLimitError):  # a count of 4516 digits must not be formatted
+            build(15000)
+    with pytest.raises(SizeLimitError):  # refused on the factor count, before math.prod
+        random_state(1, (2,) * 10 ** 6)
 
 
 def test_apply_local_identity():
@@ -200,11 +205,11 @@ def test_json_rejects_non_normalized():
         state_from_json(json.dumps({"dims": [2, 2]}))
 
 
-MALFORMED_DIMS = [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, []]
+MALFORMED_DIMS = [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, [], [2] * 15000]
 
 
 @pytest.mark.parametrize("dims", MALFORMED_DIMS,
-                         ids=["scalar", "2.5", "a", "null", "64x2", "empty"])
+                         ids=["scalar", "2.5", "a", "null", "64x2", "empty", "15000x2"])
 def test_json_rejects_malformed_dims(dims):
     payload = {"dims": dims, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(DimensionMismatchError) as info:
@@ -244,8 +249,9 @@ def test_json_accepts_integral_float_dims():
     lambda: transformed_schmidt_part(quaternify(ghz_state(3)), LocalUnitary2(1, 0)),
     lambda: index_of((2,), (2,)),
     lambda: labels_of(4, (2,)),
+    lambda: random_state(-1, (2, 2)),
 ], ids=["ghz", "w", "unitary", "generators", "products", "packed-shape", "module-action",
-        "schmidt-part", "index-of", "labels-of"])
+        "schmidt-part", "index-of", "labels-of", "negative-seed"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
