@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import fields
 
 import click
 import numpy as np
@@ -24,8 +25,7 @@ from .dynamics import LocalHamiltonianSpec, schmidt_trajectory
 from .errors import HopfconError, SizeLimitError
 from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
-from .projection import (concurrence, equivariance_error, pack,
-                         pair_projections)
+from .projection import _pair_parts, concurrence, equivariance_error, pack
 from .states import (apply_local, check_factors, ghz_state, load_state,
                      random_local_unitary, random_state, random_unitary, w_state)
 
@@ -125,9 +125,12 @@ def cmd_project(state_file, ghz, w, random_seed, qubits, split):
     """Dump every pairwise projection (Schmidt + hypercomplex parts) as JSON."""
     state = _state_from_options(state_file, ghz, w, random_seed, qubits)
     left_dim = SPLIT_LEFT_DIM[split]
-    # vars() of a projection dataclass lists its complex fields in order
-    pairs = [{"j": j, "k": k, **{name: [z.real, z.imag] for name, z in vars(proj).items()}}
-             for j, k, proj in pair_projections(pack(state, left_dim))]
+    projection, parts = _pair_parts(pack(state, left_dim))
+    # each complex field of the projection as [re, im], for every pair j < k in order
+    slots = [(field.name, slice(2 * i, 2 * i + 2)) for i, field in enumerate(fields(projection))]
+    js, ks = np.triu_indices(len(parts), 1)
+    pairs = [{"j": j, "k": k, **{name: x[slot] for name, slot in slots}}
+             for j, k, x in zip(js.tolist(), ks.tolist(), parts[js, ks].view(float).tolist())]
     click.echo(json.dumps({"split": split, "pairs": pairs,
                            "concurrence": concurrence(state, left_dim)}))
 

@@ -24,13 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .hypercomplex import Quaternion
 from .projection import QuaterState
 from .states import PureState, apply_local
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -47,11 +42,6 @@ class LocalHamiltonianSpec:
         if not (math.isfinite(self.r) and self.r >= 0.0):
             raise ParameterError("field magnitude r must be finite and >= 0")
 
-    def direction(self) -> np.ndarray:
-        return np.array([math.sin(self.theta) * math.cos(self.phi),
-                         math.sin(self.theta) * math.sin(self.phi),
-                         math.cos(self.theta)])
-
 
 @dataclass(frozen=True)
 class TrajectoryPoint:
@@ -64,11 +54,17 @@ class TrajectoryPoint:
 
 
 def pauli_propagator(spec: LocalHamiltonianSpec, t: float) -> np.ndarray:
-    """exp(-i H t) for H = r * n.sigma, via cos(rt) I - i sin(rt) n.sigma."""
-    angle = spec.r * t
-    nx, ny, nz = spec.direction()
-    n_sigma = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-    return math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * n_sigma
+    """exp(-i H t) for H = r * n.sigma: cos(rt) I - i sin(rt) n.sigma, written out entrywise.
+
+    n.sigma = [[nz, nx - i ny], [nx + i ny, -nz]] with
+    n = (sin theta cos phi, sin theta sin phi, cos theta).
+    """
+    c, s = math.cos(spec.r * t), math.sin(spec.r * t)
+    sin_theta = math.sin(spec.theta)
+    nx, ny, nz = (sin_theta * math.cos(spec.phi), sin_theta * math.sin(spec.phi),
+                  math.cos(spec.theta))
+    return np.array([[complex(c, -s * nz), complex(-s * ny, -s * nx)],
+                     [complex(s * ny, -s * nx), complex(c, s * nz)]])
 
 
 def _check_weight(lam: float) -> None:
@@ -84,6 +80,13 @@ def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
     Written out term by term, independently of any matrix product, so the
     numeric propagator route can serve as a genuine cross-oracle.
     """
+    # row i holds (Re, Im) of a_{i0}, a_{i1}: the quaternion a_{i0} + a_{i1}*e2
+    return QuaterState(_closed_form_amplitudes(lam, spec1, spec2, t).view(float))
+
+
+def _closed_form_amplitudes(lam: float, spec1: LocalHamiltonianSpec,
+                            spec2: LocalHamiltonianSpec, t: float) -> np.ndarray:
+    """The evolved amplitudes a_{ij}(t) of evolve_closed_form, as a 2 x 2 complex array."""
     _check_weight(lam)
     root_lam = math.sqrt(lam)
     root_mu = math.sqrt(1.0 - lam)
@@ -102,9 +105,7 @@ def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
                  + root_mu * s2 * sth2 / ph2 * (c1 + 1j * s1 * cth1))
     a11 = (root_mu * (c1 + 1j * s1 * cth1) * (c2 + 1j * s2 * cth2)
            - root_lam * s1 * s2 * sth1 * sth2 * ph1 * ph2)
-
-    return QuaterState((Quaternion.from_complex_pair(a00, a01),
-                        Quaternion.from_complex_pair(a10, a11)))
+    return np.array([[a00, a01], [a10, a11]])
 
 
 def schmidt_trajectory(lam: float, spec1: LocalHamiltonianSpec,

@@ -67,7 +67,8 @@ class PackedState:
         return len(self.rows)
 
     def norm_squared(self) -> float:
-        return float(np.sum(self.rows * self.rows))
+        flat = self.rows.ravel()
+        return float(flat @ flat)
 
     def as_array(self) -> np.ndarray:
         return self.rows
@@ -194,11 +195,15 @@ def _pair_grid(rows: np.ndarray) -> np.ndarray:
     return products(rows, rows * _CONJ_SIGNS[:rows.shape[1]])
 
 
+def _pair_parts(packed: PackedState):
+    """Projection class and (N, N, d/2) complex parts of every pair; N^2 refused above the cap."""
+    check_size(len(packed) ** 2, MAX_PAIR_ENTRIES, "the grid of coefficient pairs")
+    return _PROJECTIONS[packed.rows.shape[1]], _complex_parts(_pair_grid(packed.rows))
+
+
 def pair_projections(packed: PackedState):
     """Projection of every coefficient pair (j, k), j < k, in lexicographic order."""
-    check_size(len(packed) ** 2, MAX_PAIR_ENTRIES, "the grid of coefficient pairs")
-    projection = _PROJECTIONS[packed.rows.shape[1]]
-    parts = _complex_parts(_pair_grid(packed.rows))
+    projection, parts = _pair_parts(packed)
     # one row of Python numbers at a time, so peak memory stays near the result's
     return [(j, k, projection(*p)) for j in range(len(packed))
             for k, p in enumerate(parts[j, j + 1:].tolist(), start=j + 1)]
@@ -271,8 +276,8 @@ def right_module_action(qstate: PackedState, coefficient_unitary: LocalUnitary2,
     if len(qstate) != 2 or qstate.rows.shape[1] != 4:
         raise DimensionMismatchError("right_module_action expects 2 quaternion coefficients")
     mixed = coefficient_unitary.matrix @ qstate.rows.view(complex)
-    scalar = Quaternion.from_complex_pair(fiber_unitary.a, -np.conj(fiber_unitary.b))
-    return PackedState(products(mixed.view(float), [scalar.coefficients()])[:, :, 0].T)
+    scalar = np.array([[fiber_unitary.a, -fiber_unitary.b.conjugate()]]).view(float)
+    return PackedState(products(mixed.view(float), scalar)[:, :, 0].T)
 
 
 def equivariance_error(state: PureState, coefficient_unitary: LocalUnitary2,
@@ -288,11 +293,11 @@ def equivariance_error(state: PureState, coefficient_unitary: LocalUnitary2,
     if state.total_dim != 4:
         raise SplitMismatchError("the equivariance check expects a two-qubit state")
     evolved = apply_local(state, fiber_unitary, coefficient_unitary)
-    via_state = project(*quaternify(evolved).coefficients)
-    via_module = project(*right_module_action(quaternify(state), coefficient_unitary,
-                                              fiber_unitary).coefficients)
-    return max(abs(via_state.schmidt - via_module.schmidt),
-               abs(via_state.concurrence_part - via_module.concurrence_part))
+    moved = right_module_action(quaternify(state), coefficient_unitary, fiber_unitary)
+    # (schmidt, concurrence_part) of each route's projected pair, read off its pair grid
+    (s1, c1), (s2, c2) = (_complex_parts(_pair_grid(packed.rows))[0, 1].tolist()
+                          for packed in (quaternify(evolved), moved))
+    return max(abs(s1 - s2), abs(c1 - c2))
 
 
 def verify_equivariance(state: PureState, coefficient_unitary: LocalUnitary2,

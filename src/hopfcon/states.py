@@ -46,12 +46,19 @@ def check_norm(norm: float, what: str) -> None:
 
 
 def check_dims(dims) -> tuple[int, ...]:
-    """Dims as a tuple of ints; DimensionMismatchError unless one or more integers >= 2."""
+    """Dims as a tuple of ints; DimensionMismatchError unless one or more integers >= 2.
+
+    A dim above MAX_AMPLITUDES raises SizeLimitError first, before any message
+    prints a dim or an amplitude count: str() refuses ints past 4300 digits.
+    """
     try:
         given = tuple(dims)
         checked = tuple(int(d) for d in given)
     except (TypeError, ValueError, OverflowError):  # not a sequence of finite numbers
         given, checked = None, ()
+    if checked and max(checked) > MAX_AMPLITUDES:
+        raise SizeLimitError(f"a factor of dimension above {MAX_AMPLITUDES} would hold more "
+                             f"than {MAX_AMPLITUDES} amplitudes")
     if not checked or checked != given or min(checked) < 2:  # 2.0 passes, 2.5 and "2" do not
         raise DimensionMismatchError(f"dims must be one or more integers >= 2, got {dims!r}")
     return checked

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hopfcon import make_state, save_state
+from hopfcon import (concurrence, ghz_state, load_state, make_state, pack, pair_projections,
+                     random_state, save_state, w_state)
 from hopfcon.cli import main
 
 
@@ -150,8 +152,9 @@ def test_method_all_prints_nothing_when_a_route_refuses(capsys):
     assert "limit" in err
 
 
-@pytest.mark.parametrize("dims", [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, []],
-                         ids=["scalar", "2.5", "a", "null", "64x2", "empty"])
+@pytest.mark.parametrize("dims", [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, [],
+                                  [10 ** 3000] * 2],
+                         ids=["scalar", "2.5", "a", "null", "64x2", "empty", "huge"])
 def test_state_file_with_malformed_dims_rejected(dims, tmp_path, capsys):
     path = tmp_path / "dims.json"
     path.write_text(json.dumps({"dims": dims,
@@ -201,6 +204,25 @@ def test_project_product_ket_all_zero(tmp_path, capsys):
     (pair,) = json.loads(out)["pairs"]
     assert pair["schmidt"] == [0.0, 0.0]
     assert pair["concurrence_part"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("split", ["2xN", "4xN"])
+@pytest.mark.parametrize("build", [
+    lambda: random_state(5, (2,) * 6), lambda: ghz_state(6), lambda: w_state(6),
+    lambda: make_state((2,) * 6, functools.reduce(np.kron, [[0.6, 0.8j]] * 6)),
+], ids=["random", "ghz", "w", "product"])
+def test_project_json_matches_pair_projection_records(build, split, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    save_state(build(), path)
+    state, left_dim = load_state(path), {"2xN": 2, "4xN": 4}[split]
+    # the records as built from one projection object per pair, through vars()
+    pairs = [{"j": j, "k": k, **{name: [z.real, z.imag] for name, z in vars(proj).items()}}
+             for j, k, proj in pair_projections(pack(state, left_dim))]
+    expected = json.dumps({"split": split, "pairs": pairs,
+                           "concurrence": concurrence(state, left_dim)}) + "\n"
+    code, out, _ = run_cli(capsys, "project", "--state", str(path), "--split", split)
+    assert code == 0
+    assert out == expected
 
 
 def test_evolve_half_weight_csv(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hopfcon import (LocalHamiltonianSpec, Quaternion, evolve_closed_form,
                      evolve_numeric, ghz_state, minor_concurrence,
                      pauli_propagator, quat_project, quaternify,
                      schmidt_initial_state, schmidt_trajectory)
+from hopfcon.dynamics import _closed_form_amplitudes
 from hopfcon.projection import QuaterState
 
 
@@ -45,6 +46,22 @@ def test_propagator_group_properties():
         assert np.allclose(u1 @ u2, pauli_propagator(spec, t1 + t2), atol=1e-12)
 
 
+def test_propagator_matches_pauli_matrix_formula():
+    # the matrix form cos(rt) I - i sin(rt) n.sigma, built from the Pauli matrices
+    sigma = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+             np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+             np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        spec = random_spec(rng, r=rng.uniform(0, 2))
+        t = rng.uniform(-10, 10)
+        n = (math.sin(spec.theta) * math.cos(spec.phi), math.sin(spec.theta) * math.sin(spec.phi),
+             math.cos(spec.theta))
+        n_sigma = sum(x * s for x, s in zip(n, sigma))
+        expected = math.cos(spec.r * t) * np.eye(2) - 1j * math.sin(spec.r * t) * n_sigma
+        assert np.max(np.abs(pauli_propagator(spec, t) - expected)) <= 1e-15
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         LocalHamiltonianSpec(0.0, 0.0, -1.0)
@@ -62,6 +79,16 @@ def test_closed_form_at_zero_time():
     q0, q1 = evolve_closed_form(lam, random_spec(rng), random_spec(rng), 0.0).coefficients
     assert q0 == Quaternion(math.sqrt(lam), 0, 0, 0)
     assert q1 == Quaternion(0, 0, math.sqrt(1 - lam), 0)
+
+
+def test_closed_form_rows_equal_quaternion_built_rows():
+    rng = np.random.default_rng(20)
+    for _ in range(100):
+        lam, t = rng.uniform(0, 1), rng.uniform(-10, 10)
+        spec1, spec2 = random_spec(rng, r=rng.uniform(0, 2)), random_spec(rng)
+        amps = _closed_form_amplitudes(lam, spec1, spec2, t)
+        built = QuaterState(tuple(Quaternion.from_complex_pair(*row) for row in amps.tolist()))
+        assert np.array_equal(evolve_closed_form(lam, spec1, spec2, t).rows, built.rows)
 
 
 def test_closed_form_matches_numeric_propagator():

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 import hopfcon
 from hopfcon import (LocalUnitary2, NormalizationError, Octonion, PureState,
                      Quaternion, SizeLimitError, SplitMismatchError, apply_local,
-                     concurrence, generator_concurrence, ghz_state, make_state,
+                     concurrence, equivariance_error, generator_concurrence, ghz_state,
+                     make_state,
                      minor_concurrence, oct_concurrence, oct_pair_projections,
                      oct_project, oct_projection_bilinear, octonify, pack,
                      pair_projections, project, quat_concurrence,
@@ -423,6 +424,22 @@ def test_equivariance_random_triples():
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
         assert verify_equivariance(state, random_local_unitary(rng),
                                    random_local_unitary(rng))
+
+
+def test_equivariance_error_matches_the_coefficient_object_route():
+    def by_objects(state, coeff_u, fiber_u):
+        via_state = quat_project(*quaternify(apply_local(state, fiber_u, coeff_u)).coefficients)
+        via_module = quat_project(*right_module_action(quaternify(state), coeff_u,
+                                                       fiber_u).coefficients)
+        return max(abs(via_state.schmidt - via_module.schmidt),
+                   abs(via_state.concurrence_part - via_module.concurrence_part))
+
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        state = random_state(int(rng.integers(2 ** 31)), (2, 2))
+        coeff_u, fiber_u = random_local_unitary(rng), random_local_unitary(rng)
+        error = equivariance_error(state, coeff_u, fiber_u)
+        assert abs(error - by_objects(state, coeff_u, fiber_u)) <= 1e-15
 
 
 def test_transformed_schmidt_closed_form():

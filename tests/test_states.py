@@ -250,8 +250,13 @@ def test_json_accepts_integral_float_dims():
     lambda: index_of((2,), (2,)),
     lambda: labels_of(4, (2,)),
     lambda: random_state(-1, (2, 2)),
+    # dims whose count has more than 4300 digits, which str() of an int refuses to print
+    lambda: PureState((10 ** 5000,), [1.0]),
+    lambda: random_state(1, (10 ** 5000,)),
+    lambda: state_from_json(json.dumps({"dims": [10 ** 3000] * 2, "amplitudes": [[1.0, 0.0]]})),
 ], ids=["ghz", "w", "unitary", "generators", "products", "packed-shape", "module-action",
-        "schmidt-part", "index-of", "labels-of", "negative-seed"])
+        "schmidt-part", "index-of", "labels-of", "negative-seed", "huge-dim-state",
+        "huge-dim-random", "huge-dims-json"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
