@@ -30,9 +30,9 @@ from .projection import (OctProjection, PackedState, QuaterState,
                          right_module_action, transformed_schmidt_part,
                          verify_equivariance)
 from .states import (IDENTITY_UNITARY, LocalUnitary2, PureState, apply_local,
-                     ghz_state, index_of, labels_of, load_state, make_state,
-                     random_local_unitary, random_state, random_unitary,
-                     save_state, state_from_json, state_to_json, w_state)
+                     ghz_state, load_state, make_state, random_local_unitary,
+                     random_state, random_unitary, save_state, state_from_json,
+                     state_to_json, w_state)
 
 __version__ = "0.1.0"
 
@@ -45,7 +45,7 @@ __all__ = [
     "QuaterState", "SO2_GENERATOR", "SizeLimitError", "SplitMismatchError",
     "TrajectoryPoint", "ZeroNormError", "apply_local", "concurrence",
     "equivariance_error", "evolve_closed_form", "evolve_numeric",
-    "generator_concurrence", "ghz_state", "index_of", "labels_of",
+    "generator_concurrence", "ghz_state",
     "load_state", "make_state", "minor_concurrence", "oct_concurrence",
     "oct_conj", "oct_inverse", "oct_mul", "oct_pair_projections", "oct_project",
     "oct_projection_bilinear", "octonify", "pack", "pair_projections",

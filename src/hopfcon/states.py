@@ -48,8 +48,8 @@ def check_norm(norm: float, what: str) -> None:
 def check_dims(dims) -> tuple[int, ...]:
     """Dims as a tuple of ints; DimensionMismatchError unless one or more integers >= 2.
 
-    A dim above MAX_AMPLITUDES raises SizeLimitError first, before any message
-    prints a dim or an amplitude count: str() refuses ints past 4300 digits.
+    A dim above MAX_AMPLITUDES raises SizeLimitError first, and no message
+    prints the given dims or their count: str() refuses ints past 4300 digits.
     """
     try:
         given = tuple(dims)
@@ -60,7 +60,7 @@ def check_dims(dims) -> tuple[int, ...]:
         raise SizeLimitError(f"a factor of dimension above {MAX_AMPLITUDES} would hold more "
                              f"than {MAX_AMPLITUDES} amplitudes")
     if not checked or checked != given or min(checked) < 2:  # 2.0 passes, 2.5 and "2" do not
-        raise DimensionMismatchError(f"dims must be one or more integers >= 2, got {dims!r}")
+        raise DimensionMismatchError("dims must be one or more integers >= 2")
     return checked
 
 
@@ -149,8 +149,8 @@ def make_state(dims, amplitudes) -> PureState:
     norm = float(np.linalg.norm(amps))
     if norm < 1e-9:
         raise ZeroNormError("state vector has zero norm")
-    given = PureState(dims, amps)  # checks dims, amplitude count and norm of the input
-    return PureState(given.dims, given.amplitudes / norm)
+    check_norm(norm, "state")  # PureState checks dims and the amplitude count
+    return PureState(dims, amps / norm)
 
 
 def ghz_state(m: int) -> PureState:
@@ -233,29 +233,6 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def index_of(labels, dims) -> int:
-    """Row-major mixed-radix encoding of ket labels."""
-    if len(labels) != len(dims):
-        raise DimensionMismatchError("label count must match factor count")
-    index = 0
-    for label, dim in zip(labels, dims):
-        if not 0 <= label < dim:
-            raise DimensionMismatchError(f"label {label} out of range for dimension {dim}")
-        index = index * dim + label
-    return index
-
-
-def labels_of(index: int, dims) -> tuple[int, ...]:
-    """Inverse of index_of."""
-    labels = []
-    for dim in reversed(dims):
-        labels.append(index % dim)
-        index //= dim
-    if index:
-        raise DimensionMismatchError("index out of range for the given dims")
-    return tuple(reversed(labels))
-
-
 def state_to_json(state: PureState) -> str:
     payload = {
         "dims": list(state.dims),
@@ -264,17 +241,21 @@ def state_to_json(state: PureState) -> str:
     return json.dumps(payload)
 
 
-def state_from_json(text: str) -> PureState:
-    payload = json.loads(text)
+def _amplitude(re, im) -> complex:
+    if isinstance(re, bool) or isinstance(im, bool):  # complex(True, 0) would be 1
+        raise TypeError("a JSON boolean is not a number")
+    return complex(re, im)
+
+
+def state_from_json(text: str | bytes) -> PureState:
+    """Parse a state file's text or bytes; a malformed file raises DimensionMismatchError."""
     try:
+        payload = json.loads(text)  # ValueError also for bad bytes and ints past 4300 digits
         dims = payload["dims"]
-        pairs = payload["amplitudes"]
-    except (KeyError, TypeError) as exc:
-        raise DimensionMismatchError("state JSON must carry 'dims' and 'amplitudes'") from exc
-    try:
-        amps = np.array([complex(re, im) for re, im in pairs])
-    except (TypeError, ValueError) as exc:
-        raise DimensionMismatchError("each amplitude must be a [re, im] pair of numbers") from exc
+        amps = np.array([_amplitude(re, im) for re, im in payload["amplitudes"]])
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise DimensionMismatchError("state JSON must be an object with 'dims' and "
+                                     f"'amplitudes' as [re, im] pairs of numbers: {exc}") from exc
     return make_state(dims, amps)
 
 
@@ -283,4 +264,4 @@ def save_state(state: PureState, path) -> None:
 
 
 def load_state(path) -> PureState:
-    return state_from_json(Path(path).read_text())
+    return state_from_json(Path(path).read_bytes())

@@ -10,6 +10,7 @@ import pytest
 from hopfcon import (concurrence, ghz_state, load_state, make_state, pack, pair_projections,
                      random_state, save_state, w_state)
 from hopfcon.cli import main
+from test_states import MALFORMED_FILES
 
 
 def run_cli(capsys, *args):
@@ -172,6 +173,30 @@ def test_state_file_with_no_factors_rejected(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "cannot load state file" in err
+
+
+# not plain ValueErrors: OverflowError, RecursionError, and a boolean that complex() takes
+@pytest.mark.parametrize("name", ["float-overflow", "deep", "boolean"])
+def test_malformed_state_file_exits_1_without_traceback(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(MALFORMED_FILES[name])
+    code, out, err = run_cli(capsys, "concurrence", "--state", str(path), "--split", "2xN")
+    assert code == 1
+    assert out == ""
+    assert "cannot load state file" in err
+    assert "Traceback" not in err
+
+
+def test_deeply_nested_state_file_end_to_end(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_bytes(MALFORMED_FILES["deep"])
+    result = subprocess.run(
+        [sys.executable, "-m", "hopfcon", "concurrence", "--state", str(path), "--split", "2xN"],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "cannot load state file" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_project_bell(capsys):

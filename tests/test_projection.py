@@ -305,11 +305,18 @@ def test_compressed_concurrence_closed_forms_past_the_pair_grid(m):
         assert abs(concurrence(w_state(m), left_dim) - 2 * math.sqrt(p * (1 - p))) <= 1e-12
 
 
-def schmidt_form_state(rng, m, left_dim, target):
-    """sqrt(lam)|u0 v0> + sqrt(1-lam)|u1 v1> under random local unitaries, and its concurrence."""
+def schmidt_form_state(rng, m, left_dim, target, tall=False):
+    """sqrt(lam)|u0 v0> + sqrt(1-lam)|u1 v1> under random local unitaries, and its concurrence.
+
+    With tall=True, v0 and v1 come from a QR of an N x 2 Gaussian, not an N x N unitary.
+    """
     lam = target * target / (2 * (1 + math.sqrt(1 - target * target)))  # no cancellation
     u = random_unitary(left_dim, rng)
-    v = random_unitary(2 ** m // left_dim, rng)
+    n = 2 ** m // left_dim
+    if tall:
+        v = np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))[0]
+    else:
+        v = random_unitary(n, rng)
     matrix = (math.sqrt(lam) * np.outer(u[:, 0], v[:, 0])
               + math.sqrt(1 - lam) * np.outer(u[:, 1], v[:, 1]))
     return make_state((2,) * m, matrix.ravel()), 2 * math.sqrt(lam * (1 - lam))
@@ -325,6 +332,15 @@ def test_near_separable_absolute_error_bound(m, left_dim):
         assert abs(pairwise_concurrence(state, left_dim) - expected) <= 1e-14
         if left_dim == 2:
             assert abs(generator_concurrence(state) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("left_dim", [2, 4])
+@pytest.mark.parametrize("m", [16, 20])
+def test_near_separable_absolute_error_bound_past_the_pair_grid(m, left_dim):
+    rng = np.random.default_rng(400 + 10 * m + left_dim)
+    for target in (1e-2, 1e-6, 1e-10):
+        state, expected = schmidt_form_state(rng, m, left_dim, target, tall=True)
+        assert abs(concurrence(state, left_dim) - expected) <= 1e-14
 
 
 def test_pair_projections_refuse_grid_above_limit():

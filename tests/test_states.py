@@ -6,7 +6,7 @@ import pytest
 
 from hopfcon import (DimensionMismatchError, HopfconError, LocalUnitary2,
                      NormalizationError, PackedState, PureState, SizeLimitError, ZeroNormError,
-                     apply_local, ghz_state, index_of, labels_of, load_state, make_state,
+                     apply_local, ghz_state, load_state, make_state,
                      products, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state, so_n_generators,
                      state_from_json, state_to_json, transformed_schmidt_part, w_state)
@@ -158,14 +158,6 @@ def test_random_unitary_is_unitary():
         assert np.allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
 
 
-def test_mixed_radix_round_trip():
-    dims = (2, 3, 4)
-    for index in range(24):
-        assert index_of(labels_of(index, dims), dims) == index
-    assert index_of((1, 0, 1), (2, 2, 2)) == 5
-    assert labels_of(5, (2, 2, 2)) == (1, 0, 1)
-
-
 def test_split_matrix_prefix_regroup():
     state = ghz_state(3)
     m2 = state.split_matrix(2)
@@ -232,6 +224,44 @@ def test_state_needs_at_least_one_factor():
     assert PureState((2,), [1.0, 0.0]).dims == (2,)
 
 
+MALFORMED_FILES = {
+    "unparseable": b'{"dims": [2], "amplitudes": [[1, 0], [0, 0]',
+    "undecodable": b'{"dims": [2], "amplitudes": [[1, 0], [0, 0]], "note": "\xff"}',
+    # past the digit limit json.loads refuses it; Python 3.10 has no limit, and complex() overflows
+    "5000-digits": b'{"dims": [2], "amplitudes": [[1' + b"0" * 5000 + b', 0], [0, 0]]}',
+    "float-overflow": b'{"dims": [2], "amplitudes": [[1' + b"0" * 400 + b', 0], [0, 0]]}',
+    "deep": b"[" * 200000,
+    # complex(True, 0) is 1, so these would load as |00> and |1>
+    "boolean": b'{"dims": [2, 2], "amplitudes": [[true, 0], [0, 0], [0, 0], [0, 0]]}',
+    "boolean-im": b'{"dims": [2], "amplitudes": [[0, 0], [1, false]]}',
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+def test_malformed_state_file_raises_dimension_mismatch(name, tmp_path):
+    content = MALFORMED_FILES[name]
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(DimensionMismatchError, match=r"\[re, im\]"):
+        load_state(path)
+    with pytest.raises(DimensionMismatchError):
+        state_from_json(content)
+
+
+def test_state_file_bytes_are_decoded_by_json(tmp_path):
+    text = state_to_json(random_state(78, (2, 2)))
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())  # a UTF-8 byte order mark
+    assert np.array_equal(load_state(path).amplitudes, state_from_json(text).amplitudes)
+    assert np.array_equal(state_from_json(text.encode("utf-16")).amplitudes,
+                          state_from_json(text).amplitudes)
+
+
+def test_make_state_reports_the_norm_before_the_count():
+    with pytest.raises(NormalizationError):
+        make_state((2, 2), [2, 0, 0])
+
+
 def test_json_accepts_integral_float_dims():
     payload = {"dims": [2.0, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     assert state_from_json(json.dumps(payload)).dims == (2, 2)
@@ -247,16 +277,17 @@ def test_json_accepts_integral_float_dims():
     lambda: right_module_action(quaternify(ghz_state(3)), LocalUnitary2(1, 0),
                                 LocalUnitary2(1, 0)),
     lambda: transformed_schmidt_part(quaternify(ghz_state(3)), LocalUnitary2(1, 0)),
-    lambda: index_of((2,), (2,)),
-    lambda: labels_of(4, (2,)),
     lambda: random_state(-1, (2, 2)),
     # dims whose count has more than 4300 digits, which str() of an int refuses to print
     lambda: PureState((10 ** 5000,), [1.0]),
     lambda: random_state(1, (10 ** 5000,)),
     lambda: state_from_json(json.dumps({"dims": [10 ** 3000] * 2, "amplitudes": [[1.0, 0.0]]})),
+    # a dims rule failure must not print the huge entries either
+    lambda: PureState((10 ** 5000, "a"), [1.0]),
+    lambda: PureState((-10 ** 5000, 2), [1.0]),
 ], ids=["ghz", "w", "unitary", "generators", "products", "packed-shape", "module-action",
-        "schmidt-part", "index-of", "labels-of", "negative-seed", "huge-dim-state",
-        "huge-dim-random", "huge-dims-json"])
+        "schmidt-part", "negative-seed", "huge-dim-state", "huge-dim-random", "huge-dims-json",
+        "huge-dim-and-text", "huge-negative-dim"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
