@@ -126,13 +126,18 @@ def cmd_project(state_file, ghz, w, random_seed, qubits, split):
     state = _state_from_options(state_file, ghz, w, random_seed, qubits)
     left_dim = SPLIT_LEFT_DIM[split]
     projection, parts = _pair_parts(pack(state, left_dim))
-    # each complex field of the projection as [re, im], for every pair j < k in order
-    slots = [(field.name, slice(2 * i, 2 * i + 2)) for i, field in enumerate(fields(projection))]
-    js, ks = np.triu_indices(len(parts), 1)
-    pairs = [{"j": j, "k": k, **{name: x[slot] for name, slot in slots}}
-             for j, k, x in zip(js.tolist(), ks.tolist(), parts[js, ks].view(float).tolist())]
-    click.echo(json.dumps({"split": split, "pairs": pairs,
-                           "concurrence": concurrence(state, left_dim)}))
+    value = concurrence(state, left_dim)  # every refusal comes before the first write
+    # json.dumps writes ints and (finite) floats as their repr, so one record per pair
+    # j < k, each complex field as [re, im], prints the bytes of dumping the whole tree;
+    # one row j per write, so no more than a row of records is ever held
+    slots = [f'"{field.name}": [%r, %r]' for field in fields(projection)]
+    record = "{" + ", ".join(['"j": %d', '"k": %d', *slots]) + "}"
+    click.echo(f'{{"split": {json.dumps(split)}, "pairs": [', nl=False)
+    for j in range(len(parts) - 1):
+        row = parts[j, j + 1:].view(float).tolist()
+        click.echo(", " * (j > 0) + ", ".join([record % (j, k, *x)
+                                               for k, x in enumerate(row, j + 1)]), nl=False)
+    click.echo(f'], "concurrence": {json.dumps(value)}}}')
 
 
 @cli.command("evolve")

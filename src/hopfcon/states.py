@@ -64,6 +64,18 @@ def check_dims(dims) -> tuple[int, ...]:
     return checked
 
 
+def _as_amplitudes(amplitudes) -> np.ndarray:
+    """Amplitudes as a complex array; DimensionMismatchError for anything that does not convert.
+
+    That covers a ragged nesting, text that is not a number and an int too large for a
+    float; the message never prints the input, which may be huge.
+    """
+    try:
+        return np.asarray(amplitudes, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatchError(f"amplitudes must be an array of numbers: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized pure state over an ordered list of tensor factors."""
@@ -74,7 +86,7 @@ class PureState:
     def __post_init__(self):
         """The one check of a state: integer dims >= 2, one amplitude per ket, unit norm."""
         dims = check_dims(self.dims)
-        amps = np.asarray(self.amplitudes, dtype=complex).copy()
+        amps = _as_amplitudes(self.amplitudes).copy()
         amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
@@ -145,7 +157,7 @@ def make_state(dims, amplitudes) -> PureState:
     zero vector raises ZeroNormError, anything else out of tolerance raises
     NormalizationError.
     """
-    amps = np.asarray(amplitudes, dtype=complex).ravel()
+    amps = _as_amplitudes(amplitudes).ravel()
     norm = float(np.linalg.norm(amps))
     if norm < 1e-9:
         raise ZeroNormError("state vector has zero norm")

@@ -1,8 +1,12 @@
+import contextlib
 import functools
+import io
 import json
 import math
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,6 +235,15 @@ def test_project_product_ket_all_zero(tmp_path, capsys):
     assert pair["concurrence_part"] == [0.0, 0.0]
 
 
+def _project_json(state, split):
+    """json.dumps of the records built from one projection object per pair, through vars()."""
+    left_dim = {"2xN": 2, "4xN": 4}[split]
+    pairs = [{"j": j, "k": k, **{name: [z.real, z.imag] for name, z in vars(proj).items()}}
+             for j, k, proj in pair_projections(pack(state, left_dim))]
+    return json.dumps({"split": split, "pairs": pairs,
+                       "concurrence": concurrence(state, left_dim)}) + "\n"
+
+
 @pytest.mark.parametrize("split", ["2xN", "4xN"])
 @pytest.mark.parametrize("build", [
     lambda: random_state(5, (2,) * 6), lambda: ghz_state(6), lambda: w_state(6),
@@ -239,15 +252,59 @@ def test_project_product_ket_all_zero(tmp_path, capsys):
 def test_project_json_matches_pair_projection_records(build, split, tmp_path, capsys):
     path = tmp_path / "state.json"
     save_state(build(), path)
-    state, left_dim = load_state(path), {"2xN": 2, "4xN": 4}[split]
-    # the records as built from one projection object per pair, through vars()
-    pairs = [{"j": j, "k": k, **{name: [z.real, z.imag] for name, z in vars(proj).items()}}
-             for j, k, proj in pair_projections(pack(state, left_dim))]
-    expected = json.dumps({"split": split, "pairs": pairs,
-                           "concurrence": concurrence(state, left_dim)}) + "\n"
     code, out, _ = run_cli(capsys, "project", "--state", str(path), "--split", split)
     assert code == 0
-    assert out == expected
+    assert out == _project_json(load_state(path), split)
+
+
+@pytest.mark.parametrize("source, build", [
+    (["--ghz", "2"], lambda: ghz_state(2)),
+    (["--random", "1", "--qubits", "8"], lambda: random_state(1, (2,) * 8)),
+], ids=["single-pair", "8128-pairs"])
+def test_project_json_matches_records_at_one_and_many_rows(source, build, capsys):
+    code, out, _ = run_cli(capsys, "project", *source, "--split", "2xN")
+    assert code == 0
+    assert out == _project_json(build(), "2xN")
+
+
+def test_project_json_keeps_a_signed_zero(tmp_path, capsys):
+    # the Schmidt part of pair (0, 1) has imaginary part 1e-170 * -1e-170, which rounds to -0.0
+    path = tmp_path / "state.json"
+    save_state(make_state((2, 2), [0, 1, 1e-170j, -1e-170]), path)
+    code, out, _ = run_cli(capsys, "project", "--state", str(path), "--split", "2xN")
+    assert code == 0
+    assert re.search(r"-0\.0[,\]]", out)
+    assert out == _project_json(load_state(path), "2xN")
+
+
+class _Tally(io.TextIOBase):
+    """A stdout that keeps only the number of pair records written to it and the last write."""
+
+    def __init__(self):
+        self.records, self.last = 0, ""
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        self.records += text.count('{"j": ')
+        self.last = text
+        return len(text)
+
+
+def test_project_peak_memory_stays_near_the_pair_grid():
+    # N = 512 coefficients: 130 816 pairs and a (4, N, N) grid of 8 MiB
+    n, sink = 512, _Tally()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["project", "--random", "1", "--qubits", "10", "--split", "2xN"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert (sink.records, sink.last[-1:]) == (n * (n - 1) // 2, "\n")
+    assert peak < 4 * (4 * n * n * 8)
 
 
 def test_evolve_half_weight_csv(tmp_path, capsys):

@@ -285,9 +285,17 @@ def test_json_accepts_integral_float_dims():
     # a dims rule failure must not print the huge entries either
     lambda: PureState((10 ** 5000, "a"), [1.0]),
     lambda: PureState((-10 ** 5000, 2), [1.0]),
+    # amplitudes that do not convert to complex
+    lambda: make_state((2,), [10 ** 400, 0]),
+    lambda: make_state((2,), ["a", 1]),
+    lambda: make_state((2,), [[1, 0], [0]]),
+    lambda: PureState((2,), [10 ** 400, 0]),
+    lambda: PureState((2,), ["a", 1]),
+    lambda: PureState((2,), [[1, 0], [0]]),
 ], ids=["ghz", "w", "unitary", "generators", "products", "packed-shape", "module-action",
         "schmidt-part", "negative-seed", "huge-dim-state", "huge-dim-random", "huge-dims-json",
-        "huge-dim-and-text", "huge-negative-dim"])
+        "huge-dim-and-text", "huge-negative-dim", "make-huge-int", "make-text", "make-ragged",
+        "state-huge-int", "state-text", "state-ragged"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
