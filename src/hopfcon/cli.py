@@ -13,12 +13,13 @@ keeps full precision.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import fields
 
-import click
 import numpy as np
 
 from .dynamics import LocalHamiltonianSpec, schmidt_trajectory
@@ -41,6 +42,10 @@ ROUTES = {
 }
 
 
+class UsageError(Exception):
+    """A bad command line: main prints it and returns 1."""
+
+
 def _routes(left_dim: int) -> list[str]:
     """The methods that apply to a [left_dim, N] split: the generator oracle is 2xN only."""
     return [name for name in ROUTES if name != "generators" or left_dim == 2]
@@ -54,12 +59,12 @@ def _fixed(value: float) -> str:
 def _state_from_options(state_file, ghz, w, random_seed, qubits):
     sources = sum(x is not None for x in (state_file, ghz, w, random_seed))
     if sources != 1:
-        raise click.UsageError("provide exactly one of --state, --ghz, --w, --random")
+        raise UsageError("provide exactly one of --state, --ghz, --w, --random")
     if state_file is not None:
         try:
             return load_state(state_file)
         except (OSError, ValueError, HopfconError) as exc:
-            raise click.UsageError(f"cannot load state file: {exc}")
+            raise UsageError(f"cannot load state file: {exc}")
     if ghz is not None:
         return ghz_state(ghz)
     if w is not None:
@@ -68,59 +73,27 @@ def _state_from_options(state_file, ghz, w, random_seed, qubits):
     return random_state(random_seed, (2,) * qubits)
 
 
-def _state_options(command):
-    decorators = [
-        click.option("--state", "state_file", type=click.Path(), default=None,
-                     help="JSON state file with dims and [re, im] amplitudes."),
-        click.option("--ghz", type=click.IntRange(min=2), default=None,
-                     help="Build the m-qubit GHZ state."),
-        click.option("--w", type=click.IntRange(min=2), default=None,
-                     help="Build the m-qubit W state."),
-        click.option("--random", "random_seed", type=click.IntRange(min=0), default=None,
-                     help="Build a seeded random state (see --qubits)."),
-        click.option("--qubits", type=click.IntRange(min=2), default=2,
-                     show_default=True, help="Qubit count for --random."),
-        click.option("--split", type=click.Choice(sorted(SPLIT_LEFT_DIM)), required=True,
-                     help="Bipartition: first qubit vs rest (2xN) or first two vs rest (4xN)."),
-    ]
-    for dec in reversed(decorators):
-        command = dec(command)
-    return command
-
-
-@click.group()
-def cli():
-    """Concurrence of pure states via hypercomplex stereographic projection."""
-
-
-@cli.command("concurrence")
-@_state_options
-@click.option("--method", type=click.Choice([*ROUTES, "all"]),
-              default="all", show_default=True)
-@click.pass_context
-def cmd_concurrence(ctx, state_file, ghz, w, random_seed, qubits, split, method):
+def cmd_concurrence(state_file, ghz, w, random_seed, qubits, split, method):
     """Compute the concurrence of a state by one or all methods."""
     state = _state_from_options(state_file, ghz, w, random_seed, qubits)
     left_dim = SPLIT_LEFT_DIM[split]
     routes = _routes(left_dim)
     if method not in (*routes, "all"):
-        raise click.UsageError(f"the {method} method does not apply to the {split} split")
+        raise UsageError(f"the {method} method does not apply to the {split} split")
     names = routes if method == "all" else [method]
     # every route runs before anything is printed, so a refusal leaves stdout empty
     values = {name: ROUTES[name](state, left_dim) for name in names}
     for name, value in values.items():
-        click.echo(f"{name}: {_fixed(value)}")
+        print(f"{name}: {_fixed(value)}")
     if method == "all":
         results = list(values.values())
         discrepancy = max(abs(x - y) for x in results for y in results)
-        click.echo(f"max discrepancy: {discrepancy:.6e}")
+        print(f"max discrepancy: {discrepancy:.6e}")
         if discrepancy > DISCREPANCY_LIMIT:
-            click.echo("discrepancy exceeds tolerance", err=True)
-            ctx.exit(2)
+            print("discrepancy exceeds tolerance", file=sys.stderr)
+            return 2
 
 
-@cli.command("project")
-@_state_options
 def cmd_project(state_file, ghz, w, random_seed, qubits, split):
     """Dump every pairwise projection (Schmidt + hypercomplex parts) as JSON."""
     state = _state_from_options(state_file, ghz, w, random_seed, qubits)
@@ -132,32 +105,19 @@ def cmd_project(state_file, ghz, w, random_seed, qubits, split):
     # one row j per write, so no more than a row of records is ever held
     slots = [f'"{field.name}": [%r, %r]' for field in fields(projection)]
     record = "{" + ", ".join(['"j": %d', '"k": %d', *slots]) + "}"
-    click.echo(f'{{"split": {json.dumps(split)}, "pairs": [', nl=False)
+    out = sys.stdout
+    out.write(f'{{"split": {json.dumps(split)}, "pairs": [')
     for j in range(len(parts) - 1):
         row = parts[j, j + 1:].view(float).tolist()
-        click.echo(", " * (j > 0) + ", ".join([record % (j, k, *x)
-                                               for k, x in enumerate(row, j + 1)]), nl=False)
-    click.echo(f'], "concurrence": {json.dumps(value)}}}')
+        out.write(", " * (j > 0) + ", ".join([record % (j, k, *x)
+                                              for k, x in enumerate(row, j + 1)]))
+    out.write(f'], "concurrence": {json.dumps(value)}}}\n')
 
 
-@cli.command("evolve")
-@click.option("--lambda", "lam", type=click.FloatRange(0.0, 1.0), required=True,
-              help="Schmidt weight of the initial state.")
-@click.option("--theta1", type=float, default=0.0, show_default=True)
-@click.option("--phi1", type=float, default=0.0, show_default=True)
-@click.option("--theta2", type=float, default=0.0, show_default=True,
-              help="Accepted for symmetry; the projection does not depend on it.")
-@click.option("--phi2", type=float, default=0.0, show_default=True,
-              help="Accepted for symmetry; the projection does not depend on it.")
-@click.option("--r", type=click.FloatRange(min=0.0), default=0.5, show_default=True,
-              help="Field magnitude of both Hamiltonians.")
-@click.option("--t-max", type=float, required=True)
-@click.option("--steps", type=click.IntRange(min=2), required=True)
-@click.option("--out", type=click.Path(), required=True, help="Output CSV path.")
 def cmd_evolve(lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
     """Write the Schmidt-trajectory CSV t,schmidt_re,schmidt_im,concurrence."""
     if not 0 < t_max < math.inf:
-        raise click.UsageError("--t-max must be positive and finite")
+        raise UsageError("--t-max must be positive and finite")
     spec1 = LocalHamiltonianSpec(theta1, phi1, r)
     LocalHamiltonianSpec(theta2, phi2, r)  # validates the unused angles too
     times = np.linspace(0.0, t_max, steps)
@@ -169,7 +129,7 @@ def cmd_evolve(lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
         with open(out, "w", newline="") as handle:
             handle.write("\n".join(lines) + "\n")
     except OSError as exc:
-        raise click.UsageError(f"cannot write {out}: {exc}")
+        raise UsageError(f"cannot write {out}: {exc}")
 
 
 def _suite_oracle_equivalence(rng, trials):
@@ -225,11 +185,7 @@ VERIFY_SUITES = (
 )
 
 
-@cli.command("verify")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--trials", type=click.IntRange(min=1), default=25, show_default=True)
-@click.pass_context
-def cmd_verify(ctx, seed, trials):
+def cmd_verify(seed, trials):
     """Run the randomized cross-check suites; nonzero exit on any failure."""
     rng = np.random.default_rng(seed)
     failures = 0
@@ -237,31 +193,140 @@ def cmd_verify(ctx, seed, trials):
         worst, tolerance = suite(rng, trials)
         status = "PASS" if worst <= tolerance else "FAIL"
         failures += status == "FAIL"
-        click.echo(f"{name}: {status} (worst discrepancy {worst:.6e}, tolerance {tolerance:.0e})")
+        print(f"{name}: {status} (worst discrepancy {worst:.6e}, tolerance {tolerance:.0e})")
     if failures:
-        click.echo(f"{failures} suite(s) failed", err=True)
-        ctx.exit(2)
-    click.echo("all suites passed")
+        print(f"{failures} suite(s) failed", file=sys.stderr)
+        return 2
+    print("all suites passed")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Errors raise UsageError: argparse's exit code 2 here means a failed check."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\nTry '{self.prog} --help' for help.")
+
+
+def _number(convert, low=-math.inf, high=math.inf):
+    """An argparse type: convert(text), refused below low or above high (NaN passes,
+    to the command's own finiteness check)."""
+    def parse(text):
+        value = convert(text)  # argparse reports a ValueError as "invalid int value"
+        if value < low or value > high:
+            span = f"x>={low}" if high == math.inf else f"{low}<=x<={high}"
+            raise argparse.ArgumentTypeError(f"{value} is not in the range {span}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="hopfcon", add_help=False, allow_abbrev=False, description=(
+        "Concurrence of pure states via hypercomplex stereographic projection."))
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(handler):
+        """A subcommand named after handler, with --help; its add_argument."""
+        sub = commands.add_parser(handler.__name__.removeprefix("cmd_"), add_help=False,
+                                  allow_abbrev=False, help=handler.__doc__,
+                                  description=handler.__doc__)
+        sub.set_defaults(handler=handler)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        return sub.add_argument
+
+    def state_options(option):
+        option("--state", dest="state_file", metavar="PATH",
+               help="JSON state file with dims and [re, im] amplitudes.")
+        option("--ghz", type=_number(int, 2), metavar="INTEGER",
+               help="Build the m-qubit GHZ state.  [x>=2]")
+        option("--w", type=_number(int, 2), metavar="INTEGER",
+               help="Build the m-qubit W state.  [x>=2]")
+        option("--random", dest="random_seed", type=_number(int, 0), metavar="INTEGER",
+               help="Build a seeded random state (see --qubits).  [x>=0]")
+        option("--qubits", type=_number(int, 2), default=2, metavar="INTEGER",
+               help="Qubit count for --random.  [default: %(default)s; x>=2]")
+        option("--split", choices=sorted(SPLIT_LEFT_DIM), required=True,
+               help="Bipartition: first qubit vs rest (2xN) or first two vs rest (4xN).")
+
+    option = command(cmd_concurrence)
+    state_options(option)
+    option("--method", choices=[*ROUTES, "all"], default="all", help="[default: %(default)s]")
+    state_options(command(cmd_project))
+
+    option = command(cmd_evolve)
+    option("--lambda", dest="lam", type=_number(float, 0.0, 1.0), required=True,
+           metavar="FLOAT", help="Schmidt weight of the initial state.  [0.0<=x<=1.0]")
+    for angle in ("--theta1", "--phi1"):
+        option(angle, type=_number(float), default=0.0, metavar="FLOAT",
+               help="[default: %(default)s]")
+    for angle in ("--theta2", "--phi2"):
+        option(angle, type=_number(float), default=0.0, metavar="FLOAT",
+               help="Accepted for symmetry; the projection does not depend on it.  "
+                    "[default: %(default)s]")
+    option("--r", type=_number(float, 0.0), default=0.5, metavar="FLOAT",
+           help="Field magnitude of both Hamiltonians.  [default: %(default)s; x>=0.0]")
+    option("--t-max", type=_number(float), required=True, metavar="FLOAT")
+    option("--steps", type=_number(int, 2), required=True, metavar="INTEGER",
+           help="[x>=2]")
+    option("--out", required=True, metavar="PATH", help="Output CSV path.")
+
+    option = command(cmd_verify)
+    option("--seed", type=_number(int, 0), default=0, metavar="INTEGER",
+           help="[default: %(default)s; x>=0]")
+    option("--trials", type=_number(int, 1), default=25, metavar="INTEGER",
+           help="[default: %(default)s; x>=1]")
+    return parser
+
+
+# built once per process: building costs more than a parse
+PARSER = _build_parser()
+
+
+def _attach_values(argv) -> list[str]:
+    """argv with ``--option -value`` written as ``--option=-value``.
+
+    Every option but --help takes one value, the next word even when it starts
+    with '-' (``--theta1 -1e-3``, ``--out -a.csv``); argparse alone would read
+    such a word as an option.
+    """
+    attached = []
+    for word in argv:
+        option = attached[-1] if attached else ""
+        if (word.startswith("-") and option.startswith("--")
+                and option not in ("--", "--help") and "=" not in option):
+            attached[-1] = f"{option}={word}"
+        else:
+            attached.append(word)
+    return attached
+
+
+def _run(argv) -> int:
+    """Parse argv and run its command; the exit code, with any error printed."""
+    try:
+        options = vars(PARSER.parse_args(_attach_values(argv)))
+        return options.pop("handler")(**options) or 0
+    except SystemExit:  # only --help exits the parser; its errors raise UsageError
+        return 0
+    except SizeLimitError as exc:
+        print(f"error: {exc}; concurrence --method hopf has no N^2 cap", file=sys.stderr)
+    except (UsageError, HopfconError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
-    # standalone_mode=False so usage errors map to exit code 1 (click's own
-    # convention is 2, which this tool reserves for numerical failures);
-    # ctx.exit(code) comes back as the return value of cli.main.
     try:
-        result = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.ClickException as exc:
-        exc.show()
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()  # so a reader that closed the pipe shows here
+    except BrokenPipeError:
+        # exit 1 quietly: what stdout still buffers goes to os.devnull at
+        # the interpreter's final flush, not to a closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
-    except SizeLimitError as exc:
-        click.echo(f"error: {exc}; concurrence --method hopf has no N^2 cap", err=True)
-        return 1
-    except HopfconError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
-    return result if isinstance(result, int) else 0
+    return code
 
 
 if __name__ == "__main__":

@@ -67,11 +67,18 @@ def check_dims(dims) -> tuple[int, ...]:
 def _as_amplitudes(amplitudes) -> np.ndarray:
     """Amplitudes as a complex array; DimensionMismatchError for anything that does not convert.
 
-    That covers a ragged nesting, text that is not a number and an int too large for a
-    float; the message never prints the input, which may be huge.
+    That covers a ragged nesting, an int too large for a float, and any text or
+    boolean, even "1" and True, which numpy would convert: left to infer the dtype,
+    numpy makes it text or boolean, or object around a str or bool.  A numeric
+    ndarray is not copied.  The message never prints the input, which may be huge.
     """
     try:
-        return np.asarray(amplitudes, dtype=complex)
+        given = np.asarray(amplitudes)
+        kind = given.dtype.kind
+        if kind in "USb" or kind == "O" and any(isinstance(x, (str, bool, np.bool_))
+                                                for x in given.flat):
+            raise TypeError("text and booleans are not amplitudes")
+        return given.astype(complex, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"amplitudes must be an array of numbers: {exc}") from exc
 

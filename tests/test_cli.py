@@ -420,6 +420,77 @@ def test_console_entry_point_end_to_end(tmp_path):
     assert result.returncode == 1
 
 
+HELP_OPTIONS = {
+    (): ["--help", "concurrence", "project", "evolve", "verify"],
+    ("concurrence",): ["--state", "--ghz", "--w", "--random", "--qubits", "--split", "--method"],
+    ("project",): ["--state", "--ghz", "--w", "--random", "--qubits", "--split"],
+    ("evolve",): ["--lambda", "--theta1", "--phi1", "--theta2", "--phi2", "--r", "--t-max",
+                  "--steps", "--out"],
+    ("verify",): ["--seed", "--trials"],
+}
+
+
 def test_help_exits_zero(capsys):
-    assert main(["--help"]) == 0
-    capsys.readouterr()
+    for command, names in HELP_OPTIONS.items():
+        code, out, err = run_cli(capsys, *command, "--help")
+        assert code == 0
+        assert err == ""
+        for name in names:
+            assert name in out
+
+
+@pytest.mark.parametrize("args", [
+    ["concurrence", "--random", "1", "--qubits", "1", "--split", "2xN"],
+    ["concurrence", "--ghz", "1", "--split", "2xN"],
+    ["concurrence", "--w", "1", "--split", "2xN"],
+    ["concurrence", "--ghz", "3", "--split", "3xN"],
+    ["concurrence", "--ghz", "3", "--split", "2xN", "--method", "bogus"],
+    ["evolve", "--lambda", "1.5", "--t-max", "1", "--steps", "3", "--out", "x.csv"],
+    ["evolve", "--lambda", "0.5", "--r", "-0.5", "--t-max", "1", "--steps", "3", "--out", "x.csv"],
+    ["evolve", "--lambda", "0.5", "--t-max", "1", "--steps", "1", "--out", "x.csv"],
+    ["verify", "--trials", "0"],
+    ["verify", "--seed", "-1"],
+    ["concurrence", "--ghz", "3", "--split", "2xN", "--bogus", "1"],
+    ["concurrence", "--random", "1", "--qub", "3", "--split", "2xN"],
+    ["bogus"],
+    [],
+    ["concurrence", "--ghz", "3"],
+], ids=["qubits-1", "ghz-1", "w-1", "split-3xN", "method-bogus", "lambda-1.5", "r-negative",
+        "steps-1", "trials-0", "seed-negative", "unknown-option", "abbreviation",
+        "unknown-command", "no-command", "missing-split"])
+def test_usage_error_exits_1(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # evolve must not get as far as writing x.csv
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_values_starting_with_a_dash_reach_their_options(tmp_path, monkeypatch, capsys):
+    # an option takes the next word as its value even when that starts with '-'
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "evolve", "--lambda", "0.5", "--theta1", "-1e-3",
+                           "--phi1", "-2", "--t-max", "1", "--steps", "3", "--out", "-traj.csv")
+    assert (code, err) == (0, "")
+    assert (tmp_path / "-traj.csv").read_text().startswith("t,schmidt_re,schmidt_im,concurrence\n")
+
+
+def test_importing_the_cli_leaves_click_out():
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, hopfcon.cli; print('click' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+
+
+def test_closed_stdout_ends_quietly():
+    # ~600 kB of JSON: far more than a pipe holds, so writes are still due when it closes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hopfcon", "project", "--random", "1", "--qubits", "8",
+         "--split", "4xN"], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

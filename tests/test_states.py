@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -292,10 +293,17 @@ def test_json_accepts_integral_float_dims():
     lambda: PureState((2,), [10 ** 400, 0]),
     lambda: PureState((2,), ["a", 1]),
     lambda: PureState((2,), [[1, 0], [0]]),
+    # text and booleans that numpy would convert to complex
+    lambda: make_state((2,), ["1", "0"]),
+    lambda: make_state((2,), [True, False]),
+    lambda: PureState((2,), ["0.6", "0.8j"]),
+    lambda: make_state((2,), [Fraction(1), "0"]),
+    lambda: make_state((2,), [Fraction(1), False]),
 ], ids=["ghz", "w", "unitary", "generators", "products", "packed-shape", "module-action",
         "schmidt-part", "negative-seed", "huge-dim-state", "huge-dim-random", "huge-dims-json",
         "huge-dim-and-text", "huge-negative-dim", "make-huge-int", "make-text", "make-ragged",
-        "state-huge-int", "state-text", "state-ragged"])
+        "state-huge-int", "state-text", "state-ragged", "make-numeric-text", "make-booleans",
+        "state-numeric-text", "make-object-text", "make-object-boolean"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
