@@ -18,17 +18,13 @@ from .hypercomplex import (FANO_TRIPLES, OCT_UNITS, OCTONION_TABLE,
                            QUAT_UNITS, QUATERNION_TABLE, Octonion, Quaternion,
                            oct_conj, oct_inverse, oct_mul, products,
                            quat_conj, quat_mul, quat_star)
-from .oracles import (SO2_GENERATOR, generator_concurrence, minor_concurrence,
-                      so_n_generators)
+from .oracles import SO2_GENERATOR, generator_concurrence, minor_concurrence
 from .projection import (OctProjection, PackedState, QuaterState,
                          QuatProjection, concurrence, equivariance_error,
                          oct_concurrence, oct_pair_projections, oct_project,
-                         oct_projection_bilinear, octonify, pack,
-                         pair_projections, project, quat_concurrence,
-                         quat_pair_projections, quat_project,
-                         quat_projection_bilinear, quaternify,
-                         right_module_action, transformed_schmidt_part,
-                         verify_equivariance)
+                         octonify, pack, pair_projections, project,
+                         quat_concurrence, quat_pair_projections, quat_project,
+                         quaternify, right_module_action, verify_equivariance)
 from .states import (IDENTITY_UNITARY, LocalUnitary2, PureState, apply_local,
                      ghz_state, load_state, make_state, random_local_unitary,
                      random_state, random_unitary, save_state, state_from_json,
@@ -45,16 +41,13 @@ __all__ = [
     "QuaterState", "SO2_GENERATOR", "SizeLimitError", "SplitMismatchError",
     "TrajectoryPoint", "ZeroNormError", "apply_local", "concurrence",
     "equivariance_error", "evolve_closed_form", "evolve_numeric",
-    "generator_concurrence", "ghz_state",
-    "load_state", "make_state", "minor_concurrence", "oct_concurrence",
-    "oct_conj", "oct_inverse", "oct_mul", "oct_pair_projections", "oct_project",
-    "oct_projection_bilinear", "octonify", "pack", "pair_projections",
-    "pauli_propagator", "products", "project",
+    "generator_concurrence", "ghz_state", "load_state", "make_state",
+    "minor_concurrence", "oct_concurrence", "oct_conj", "oct_inverse",
+    "oct_mul", "oct_pair_projections", "oct_project", "octonify", "pack",
+    "pair_projections", "pauli_propagator", "products", "project",
     "quat_concurrence", "quat_conj", "quat_mul", "quat_pair_projections",
-    "quat_project", "quat_projection_bilinear", "quat_star", "quaternify",
-    "random_local_unitary", "random_state", "random_unitary",
-    "right_module_action", "save_state", "schmidt_initial_state",
-    "schmidt_trajectory", "so_n_generators", "state_from_json",
-    "state_to_json", "transformed_schmidt_part", "verify_equivariance",
-    "w_state",
+    "quat_project", "quat_star", "quaternify", "random_local_unitary",
+    "random_state", "random_unitary", "right_module_action", "save_state",
+    "schmidt_initial_state", "schmidt_trajectory", "state_from_json",
+    "state_to_json", "verify_equivariance", "w_state",
 ]

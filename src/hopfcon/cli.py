@@ -27,7 +27,7 @@ from .errors import HopfconError, SizeLimitError
 from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
 from .projection import _pair_parts, concurrence, equivariance_error, pack
-from .states import (apply_local, check_factors, ghz_state, load_state,
+from .states import (MAX_PAIR_ENTRIES, apply_local, check_factors, ghz_state, load_state,
                      random_local_unitary, random_state, random_unitary, w_state)
 
 SPLIT_LEFT_DIM = {"2xN": 2, "4xN": 4}
@@ -207,12 +207,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\nTry '{self.prog} --help' for help.")
 
 
-def _number(convert, low=-math.inf, high=math.inf):
-    """An argparse type: convert(text), refused below low or above high (NaN passes,
-    to the command's own finiteness check)."""
+def _number(convert, low, high=math.inf):
+    """An argparse type: convert(text), refused outside low <= value <= high (NaN too)."""
     def parse(text):
         value = convert(text)  # argparse reports a ValueError as "invalid int value"
-        if value < low or value > high:
+        if not low <= value <= high:
             span = f"x>={low}" if high == math.inf else f"{low}<=x<={high}"
             raise argparse.ArgumentTypeError(f"{value} is not in the range {span}")
         return value
@@ -258,17 +257,17 @@ def _build_parser() -> _Parser:
     option("--lambda", dest="lam", type=_number(float, 0.0, 1.0), required=True,
            metavar="FLOAT", help="Schmidt weight of the initial state.  [0.0<=x<=1.0]")
     for angle in ("--theta1", "--phi1"):
-        option(angle, type=_number(float), default=0.0, metavar="FLOAT",
+        option(angle, type=float, default=0.0, metavar="FLOAT",
                help="[default: %(default)s]")
     for angle in ("--theta2", "--phi2"):
-        option(angle, type=_number(float), default=0.0, metavar="FLOAT",
+        option(angle, type=float, default=0.0, metavar="FLOAT",
                help="Accepted for symmetry; the projection does not depend on it.  "
                     "[default: %(default)s]")
     option("--r", type=_number(float, 0.0), default=0.5, metavar="FLOAT",
            help="Field magnitude of both Hamiltonians.  [default: %(default)s; x>=0.0]")
-    option("--t-max", type=_number(float), required=True, metavar="FLOAT")
-    option("--steps", type=_number(int, 2), required=True, metavar="INTEGER",
-           help="[x>=2]")
+    option("--t-max", type=float, required=True, metavar="FLOAT")
+    option("--steps", type=_number(int, 2, MAX_PAIR_ENTRIES), required=True, metavar="INTEGER",
+           help=f"[2<=x<={MAX_PAIR_ENTRIES}]")
     option("--out", required=True, metavar="PATH", help="Output CSV path.")
 
     option = command(cmd_verify)
@@ -327,7 +326,3 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

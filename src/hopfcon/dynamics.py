@@ -53,13 +53,22 @@ class TrajectoryPoint:
     concurrence_mag: float
 
 
+def _phase(r: float, t) -> float:
+    """The phase r * t, refused when it is not finite (a float overflow gives inf)."""
+    phase = r * float(t)
+    if not math.isfinite(phase):
+        raise ParameterError("the phase r * t must be finite")
+    return phase
+
+
 def pauli_propagator(spec: LocalHamiltonianSpec, t: float) -> np.ndarray:
     """exp(-i H t) for H = r * n.sigma: cos(rt) I - i sin(rt) n.sigma, written out entrywise.
 
     n.sigma = [[nz, nx - i ny], [nx + i ny, -nz]] with
     n = (sin theta cos phi, sin theta sin phi, cos theta).
     """
-    c, s = math.cos(spec.r * t), math.sin(spec.r * t)
+    phase = _phase(spec.r, t)
+    c, s = math.cos(phase), math.sin(phase)
     sin_theta = math.sin(spec.theta)
     nx, ny, nz = (sin_theta * math.cos(spec.phi), sin_theta * math.sin(spec.phi),
                   math.cos(spec.theta))
@@ -90,8 +99,9 @@ def _closed_form_amplitudes(lam: float, spec1: LocalHamiltonianSpec,
     _check_weight(lam)
     root_lam = math.sqrt(lam)
     root_mu = math.sqrt(1.0 - lam)
-    c1, s1 = math.cos(spec1.r * t), math.sin(spec1.r * t)
-    c2, s2 = math.cos(spec2.r * t), math.sin(spec2.r * t)
+    phase1, phase2 = _phase(spec1.r, t), _phase(spec2.r, t)
+    c1, s1 = math.cos(phase1), math.sin(phase1)
+    c2, s2 = math.cos(phase2), math.sin(phase2)
     cth1, sth1 = math.cos(spec1.theta), math.sin(spec1.theta)
     cth2, sth2 = math.cos(spec2.theta), math.sin(spec2.theta)
     ph1 = cmath.exp(1j * spec1.phi)
@@ -126,7 +136,8 @@ def schmidt_trajectory(lam: float, spec1: LocalHamiltonianSpec,
     cph, sph = math.cos(spec1.phi), math.sin(spec1.phi)
     points = []
     for t in times:
-        c, s = math.cos(spec1.r * t), math.sin(spec1.r * t)
+        phase = _phase(spec1.r, t)
+        c, s = math.cos(phase), math.sin(phase)
         re = weight * s * sth * (s * cth * cph + c * sph)
         im = weight * s * sth * (c * cph - s * cth * sph)
         points.append(TrajectoryPoint(float(t), re + 0.0, im + 0.0, conc))

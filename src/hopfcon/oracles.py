@@ -4,10 +4,9 @@ Two routes that never touch the hypercomplex algebra: the sum of squared
 2x2 minors of the amplitude matrix (any bipartition) and the antisymmetric
 generator form (2 x N bipartitions).  Both are used to validate the
 projection pipeline.  Minors matrices are held to MAX_PAIR_ENTRIES entries
-(N <= 2048), the generator form to MAX_PAIR_ENTRIES generators (N <= 2896) and
-the dense so_n_generators list to MAX_AMPLITUDES entries (N <= 76).  The
-generator form never calls the minors route and never forms the contracted
-product M^H S conj(M), whose entries are the minors.
+(N <= 2048), the generator form to MAX_PAIR_ENTRIES generators (N <= 2896).
+The generator form never calls the minors route and never forms the
+contracted product M^H S conj(M), whose entries are the minors.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .states import MAX_AMPLITUDES, MAX_PAIR_ENTRIES, PureState, check_size
+from .states import MAX_PAIR_ENTRIES, PureState, check_size
 
 SO2_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -39,42 +37,6 @@ def minor_concurrence(state: PureState, left_dim: int) -> float:
     return 2.0 * math.sqrt(total)
 
 
-def _generator_axes(n: int):
-    """Axes and signs of the SO(n) generators in literal order, grouped by k.
-
-    The generator omitting the sorted multi-index of n-2 axes has its +-1
-    pair on the two remaining axes k < l.  Lexicographic order of the
-    omitted multi-index is k descending, then l descending.  The sign of the
-    Levi-Civita symbol of (omitted..., k, l) is (-1)^((n-2-k) + (n-1-l)), one
-    factor per inversion: n-2-k omitted axes lie above k and n-1-l above l.
-    Yields k with the arrays of its l values and signs.
-    """
-    for k in range(n - 2, -1, -1):
-        ls = np.arange(n - 1, k, -1)
-        yield k, ls, (-1.0) ** ((n - 2 - k) + (n - 1 - ls))
-
-
-def so_n_generators(n: int) -> list[np.ndarray]:
-    """The n(n-1)/2 antisymmetric generators of SO(n) with entries in {-1, 0, 1}.
-
-    Each generator is labeled by the multi-index of n-2 omitted axes, in
-    lexicographic order; its single off-diagonal +-1 pair on the remaining
-    axes (k, l) carries the sign of the Levi-Civita symbol of the full
-    index sequence (omitted..., k, l).
-    """
-    if n < 2:
-        raise DimensionMismatchError("so_n_generators requires n >= 2")
-    check_size(n ** 3 * (n - 1) // 2, MAX_AMPLITUDES, f"the generators of SO({n})")
-    generators = []
-    for k, ls, signs in _generator_axes(n):
-        for l, sign in zip(ls, signs):
-            gen = np.zeros((n, n))
-            gen[k, l] = sign
-            gen[l, k] = -sign
-            generators.append(gen)
-    return generators
-
-
 def generator_concurrence(state: PureState) -> float:
     """Concurrence of a [2, N] state from the antisymmetric-generator form.
 
@@ -86,8 +48,10 @@ def generator_concurrence(state: PureState) -> float:
 
     Each generator is evaluated from its two nonzeros, never built: with
     L[k, l] = s = -L[l, k] and X = S conj(M), the term <psi| vec(S conj(M) L^T)
-    is s (conj(M_k) . X_l - conj(M_l) . X_k) over the columns of M.  The walk
-    is vectorized over l for each k, so it costs O(N^2) time and O(N) memory.
+    is s (conj(M_k) . X_l - conj(M_l) . X_k) over the columns of M.  The
+    Levi-Civita sign s = +-1 is dropped: the term enters only as |.|^2.
+    The walk keeps the literal generator order, k descending, then l
+    descending, vectorized over l for each k: O(N^2) time and O(N) memory.
     """
     matrix = state.split_matrix(2)
     n = matrix.shape[1]
@@ -95,8 +59,8 @@ def generator_concurrence(state: PureState) -> float:
     conj = np.conj(matrix)
     x = SO2_GENERATOR @ conj
     total = 0.0
-    for k, _, signs in _generator_axes(n):
-        # columns l = n-1, ..., k+1 as views: the same as indexing with the yielded l array
-        terms = signs * (conj[:, k] @ x[:, :k:-1] - x[:, k] @ conj[:, :k:-1])
+    for k in range(n - 2, -1, -1):
+        # columns l = n-1, ..., k+1 as views
+        terms = conj[:, k] @ x[:, :k:-1] - x[:, k] @ conj[:, :k:-1]
         total += np.vdot(terms, terms).real
     return math.sqrt(total)

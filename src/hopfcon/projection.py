@@ -19,8 +19,7 @@ grid of pair_projections() is refused above MAX_PAIR_ENTRIES entries.
 Sign convention: the projection is always the literally computed
 hypercomplex product.  Its e2-part for a quaternion pair equals the
 *negative* of the column minor a_{0j} a_{1k} - a_{1j} a_{0k}; only the
-magnitude enters the concurrence, and the bilinear helpers below expose
-the exact componentwise relation for cross-checking.
+magnitude enters the concurrence.
 """
 
 from __future__ import annotations
@@ -134,8 +133,8 @@ def pack(state: PureState, left_dim: int) -> PackedState:
     octonions o_j = (a_{0j} + a_{1j}*e2) + (a_{2j} + conj(a_{3j})*e2)*e4,
     indexed by the N-dimensional factor.  The conjugate on the octonion's
     final slot is what makes the pairwise projection magnitudes reduce to
-    2x2 minors (see oct_projection_bilinear).  Row j holds the real and
-    imaginary parts of column j, interleaved.
+    2x2 minors.  Row j holds the real and imaginary parts of column j,
+    interleaved.
     """
     return PackedState(_rows(state.split_matrix(left_dim)))
 
@@ -149,45 +148,6 @@ def project(a, b):
     """Stereographic projection of a coefficient pair: the complex split of a * conj(b)."""
     grid = products([a.coefficients()], [b.conjugate().coefficients()])
     return _PROJECTIONS[len(grid)](*_complex_parts(grid)[0, 0].tolist())
-
-
-def quat_projection_bilinear(u, v) -> tuple[complex, complex]:
-    """Schmidt and minor terms of a projected pair, directly from amplitudes.
-
-    For columns u = (a_{0j}, a_{1j}) and v = (a_{0k}, a_{1k}) returns
-    (S, C) with S = u0*conj(v0) + u1*conj(v1) and C = u0*v1 - u1*v0.
-    The computed projection satisfies schmidt == S and
-    concurrence_part == -C; the equality is asserted by the test suite as
-    a cross-check on the quaternion multiplication table.
-    """
-    schmidt = u[0] * np.conj(v[0]) + u[1] * np.conj(v[1])
-    minor = u[0] * v[1] - u[1] * v[0]
-    return complex(schmidt), complex(minor)
-
-
-def oct_projection_bilinear(u, v) -> tuple[complex, complex, complex, complex]:
-    """Projection parts of an octonion pair, directly from amplitude columns.
-
-    For 4-component columns u, v (amplitudes of the [4, N] split) with
-    minors M_ij = u_i*v_j - u_j*v_i:
-
-        s0 = sum_i u_i * conj(v_i)
-        s1 = -M_01 - conj(M_23)
-        s2 = -M_02 + conj(M_13)
-        s3 = -M_12 - conj(M_03)
-
-    so |s1|^2 + |s2|^2 + |s3|^2 = sum |M_ij|^2: the cross terms cancel by
-    the Pluecker identity M_01*M_23 - M_02*M_13 + M_03*M_12 = 0.  The test
-    suite asserts these against the literal octonion product.
-    """
-    def minor(i, j):
-        return u[i] * v[j] - u[j] * v[i]
-
-    s0 = sum(u[i] * np.conj(v[i]) for i in range(4))
-    s1 = -minor(0, 1) - np.conj(minor(2, 3))
-    s2 = -minor(0, 2) + np.conj(minor(1, 3))
-    s3 = -minor(1, 2) - np.conj(minor(0, 3))
-    return complex(s0), complex(s1), complex(s2), complex(s3)
 
 
 def _pair_grid(rows: np.ndarray) -> np.ndarray:
@@ -307,21 +267,3 @@ def verify_equivariance(state: PureState, coefficient_unitary: LocalUnitary2,
     Returns True when equivariance_error is within 1e-10.
     """
     return equivariance_error(state, coefficient_unitary, fiber_unitary) <= 1e-10
-
-
-def transformed_schmidt_part(qstate: PackedState,
-                             coefficient_unitary: LocalUnitary2) -> complex:
-    """Closed-form Schmidt part after the coefficient-matrix action alone.
-
-    With S the Schmidt part of the untransformed pair and (a, b) the
-    parameters of coefficient_unitary:
-
-        S' = (|q1|^2 - |q0|^2) * a * b + a^2 * S - b^2 * conj(S)
-    """
-    if len(qstate) != 2:
-        raise DimensionMismatchError("transformed_schmidt_part expects 2 quaternion coefficients")
-    q0, q1 = qstate.coefficients
-    schmidt = project(q0, q1).schmidt
-    a, b = coefficient_unitary.a, coefficient_unitary.b
-    return ((q1.norm_squared() - q0.norm_squared()) * a * b
-            + a * a * schmidt - b * b * np.conj(schmidt))

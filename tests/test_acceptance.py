@@ -17,12 +17,13 @@ from hopfcon import (LocalHamiltonianSpec, OCT_UNITS, QUAT_UNITS, Octonion,
                      quat_mul, quat_pair_projections, quat_project,
                      quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, schmidt_initial_state,
-                     transformed_schmidt_part, w_state)
+                     w_state)
 from hopfcon.cli import main
 from hopfcon.projection import QuaterState
 
 from reference_tables import (OCTONION_TABLE_TEXT, QUATERNION_TABLE_TEXT,
                               parse_table)
+from references import transformed_schmidt_part
 
 
 def report(number: int, label: str, worst: float, tol: float, elapsed=None):

@@ -366,6 +366,14 @@ def test_evolve_rejects_non_finite(tmp_path, capsys, option, value):
     assert not out_path.exists()
 
 
+def test_evolve_lambda_nan_names_the_option(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "evolve", "--lambda", "nan", "--t-max", "1",
+                           "--steps", "3", "--out", "x.csv")
+    assert code == 1
+    assert "--lambda" in err
+
+
 def test_verify_passes_and_is_deterministic(capsys):
     code_a, out_a, _ = run_cli(capsys, "verify", "--seed", "7", "--trials", "2")
     code_b, out_b, _ = run_cli(capsys, "verify", "--seed", "7", "--trials", "2")
@@ -448,6 +456,10 @@ def test_help_exits_zero(capsys):
     ["evolve", "--lambda", "1.5", "--t-max", "1", "--steps", "3", "--out", "x.csv"],
     ["evolve", "--lambda", "0.5", "--r", "-0.5", "--t-max", "1", "--steps", "3", "--out", "x.csv"],
     ["evolve", "--lambda", "0.5", "--t-max", "1", "--steps", "1", "--out", "x.csv"],
+    ["evolve", "--lambda", "0.5", "--t-max", "1", "--steps", "1000000000000", "--out", "x.csv"],
+    # not a usage error, but the same outcome: the phase r * t overflows to inf
+    ["evolve", "--lambda", "0.3", "--theta1", "0.9", "--r", "1e200", "--t-max", "1e200",
+     "--steps", "3", "--out", "x.csv"],
     ["verify", "--trials", "0"],
     ["verify", "--seed", "-1"],
     ["concurrence", "--ghz", "3", "--split", "2xN", "--bogus", "1"],
@@ -456,8 +468,8 @@ def test_help_exits_zero(capsys):
     [],
     ["concurrence", "--ghz", "3"],
 ], ids=["qubits-1", "ghz-1", "w-1", "split-3xN", "method-bogus", "lambda-1.5", "r-negative",
-        "steps-1", "trials-0", "seed-negative", "unknown-option", "abbreviation",
-        "unknown-command", "no-command", "missing-split"])
+        "steps-1", "steps-huge", "phase-overflow", "trials-0", "seed-negative", "unknown-option",
+        "abbreviation", "unknown-command", "no-command", "missing-split"])
 def test_usage_error_exits_1(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # evolve must not get as far as writing x.csv
     code, out, err = run_cli(capsys, *args)

@@ -10,14 +10,15 @@ from hopfcon import (LocalUnitary2, NormalizationError, Octonion, PureState,
                      concurrence, equivariance_error, generator_concurrence, ghz_state,
                      make_state,
                      minor_concurrence, oct_concurrence, oct_pair_projections,
-                     oct_project, oct_projection_bilinear, octonify, pack,
+                     oct_project, octonify, pack,
                      pair_projections, project, quat_concurrence,
-                     quat_pair_projections, quat_project,
-                     quat_projection_bilinear, quaternify,
+                     quat_pair_projections, quat_project, quaternify,
                      random_local_unitary, random_state, random_unitary,
-                     right_module_action, transformed_schmidt_part,
-                     verify_equivariance, w_state)
+                     right_module_action, verify_equivariance, w_state)
 from hopfcon.projection import QuaterState
+
+from references import (oct_projection_bilinear, quat_projection_bilinear,
+                        transformed_schmidt_part)
 
 SQRT_HALF = 1 / math.sqrt(2)
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hopfcon import (DimensionMismatchError, HopfconError, LocalUnitary2,
+from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec, LocalUnitary2,
                      NormalizationError, PackedState, PureState, SizeLimitError, ZeroNormError,
-                     apply_local, ghz_state, load_state, make_state,
+                     apply_local, evolve_closed_form, ghz_state, load_state, make_state,
+                     pauli_propagator,
                      products, quaternify, random_local_unitary, random_state,
-                     random_unitary, right_module_action, save_state, so_n_generators,
-                     state_from_json, state_to_json, transformed_schmidt_part, w_state)
+                     random_unitary, right_module_action, save_state,
+                     schmidt_trajectory, state_from_json, state_to_json, w_state)
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -272,12 +273,10 @@ def test_json_accepts_integral_float_dims():
     lambda: ghz_state(1),
     lambda: w_state(1),
     lambda: LocalUnitary2(1.0, 1.0),
-    lambda: so_n_generators(1),
     lambda: products([[1.0, 0, 0]], [[1.0, 0, 0]]),
     lambda: PackedState(np.eye(2, 3)),
     lambda: right_module_action(quaternify(ghz_state(3)), LocalUnitary2(1, 0),
                                 LocalUnitary2(1, 0)),
-    lambda: transformed_schmidt_part(quaternify(ghz_state(3)), LocalUnitary2(1, 0)),
     lambda: random_state(-1, (2, 2)),
     # dims whose count has more than 4300 digits, which str() of an int refuses to print
     lambda: PureState((10 ** 5000,), [1.0]),
@@ -299,11 +298,17 @@ def test_json_accepts_integral_float_dims():
     lambda: PureState((2,), ["0.6", "0.8j"]),
     lambda: make_state((2,), [Fraction(1), "0"]),
     lambda: make_state((2,), [Fraction(1), False]),
-], ids=["ghz", "w", "unitary", "generators", "products", "packed-shape", "module-action",
-        "schmidt-part", "negative-seed", "huge-dim-state", "huge-dim-random", "huge-dims-json",
+    # a phase r * t that overflows to inf
+    lambda: pauli_propagator(LocalHamiltonianSpec(0.9, 0.0, 1e200), 1e200),
+    lambda: evolve_closed_form(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200),
+                               LocalHamiltonianSpec(0.0, 0.0), 1e200),
+    lambda: schmidt_trajectory(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200), [0.0, 1e200]),
+], ids=["ghz", "w", "unitary", "products", "packed-shape", "module-action",
+        "negative-seed", "huge-dim-state", "huge-dim-random", "huge-dims-json",
         "huge-dim-and-text", "huge-negative-dim", "make-huge-int", "make-text", "make-ragged",
         "state-huge-int", "state-text", "state-ragged", "make-numeric-text", "make-booleans",
-        "state-numeric-text", "make-object-text", "make-object-boolean"])
+        "state-numeric-text", "make-object-text", "make-object-boolean", "propagator-phase",
+        "closed-form-phase", "trajectory-phase"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
