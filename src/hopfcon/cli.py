@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dynamics import LocalHamiltonianSpec, schmidt_trajectory
+from .dynamics import LocalHamiltonianSpec, _phase, _trajectory_points
 from .errors import HopfconError, SizeLimitError
 from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
@@ -120,14 +120,14 @@ def cmd_evolve(lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
         raise UsageError("--t-max must be positive and finite")
     spec1 = LocalHamiltonianSpec(theta1, phi1, r)
     LocalHamiltonianSpec(theta2, phi2, r)  # validates the unused angles too
-    times = np.linspace(0.0, t_max, steps)
-    points = schmidt_trajectory(lam, spec1, times)
-    lines = ["t,schmidt_re,schmidt_im,concurrence"]
-    lines += [f"{_fixed(p.t)},{_fixed(p.schmidt_re)},{_fixed(p.schmidt_im)},"
-              f"{_fixed(p.concurrence_mag)}" for p in points]
+    _phase(r, t_max)  # the largest phase, so an overflow is refused before the file is opened
+    points = _trajectory_points(lam, spec1, np.linspace(0.0, t_max, steps))
     try:
         with open(out, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write("t,schmidt_re,schmidt_im,concurrence\n")
+            # each row is written as it is formed, so no more than one is held
+            handle.writelines(f"{_fixed(p.t)},{_fixed(p.schmidt_re)},{_fixed(p.schmidt_im)},"
+                              f"{_fixed(p.concurrence_mag)}\n" for p in points)
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc}")
 

@@ -129,19 +129,22 @@ def schmidt_trajectory(lam: float, spec1: LocalHamiltonianSpec,
 
     and the concurrence magnitude is the constant sqrt(lam * (1 - lam)).
     """
+    return list(_trajectory_points(lam, spec1, times))
+
+
+def _trajectory_points(lam: float, spec1: LocalHamiltonianSpec, times):
+    """The points of schmidt_trajectory one at a time, each formed when it is asked for."""
     _check_weight(lam)
     weight = 2.0 * lam - 1.0
     conc = math.sqrt(lam * (1.0 - lam))
     cth, sth = math.cos(spec1.theta), math.sin(spec1.theta)
     cph, sph = math.cos(spec1.phi), math.sin(spec1.phi)
-    points = []
     for t in times:
         phase = _phase(spec1.r, t)
         c, s = math.cos(phase), math.sin(phase)
         re = weight * s * sth * (s * cth * cph + c * sph)
         im = weight * s * sth * (c * cph - s * cth * sph)
-        points.append(TrajectoryPoint(float(t), re + 0.0, im + 0.0, conc))
-    return points
+        yield TrajectoryPoint(float(t), re + 0.0, im + 0.0, conc)
 
 
 def evolve_numeric(state: PureState, spec1: LocalHamiltonianSpec,

@@ -69,11 +69,13 @@ def _as_amplitudes(amplitudes) -> np.ndarray:
 
     That covers a ragged nesting, an int too large for a float, and any text or
     boolean, even "1" and True, which numpy would convert: left to infer the dtype,
-    numpy makes it text or boolean, or object around a str or bool.  A numeric
-    ndarray is not copied.  The message never prints the input, which may be huge.
+    numpy makes it text or boolean, or object around a str or bool, but int for
+    [0, True], so a list or tuple is read as objects first.  A numeric ndarray is
+    neither scanned nor copied.  The message never prints the input, which may be huge.
     """
     try:
-        given = np.asarray(amplitudes)
+        given = np.asarray(amplitudes, dtype=object if isinstance(amplitudes, (list, tuple))
+                           else None)
         kind = given.dtype.kind
         if kind in "USb" or kind == "O" and any(isinstance(x, (str, bool, np.bool_))
                                                 for x in given.flat):

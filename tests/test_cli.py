@@ -346,6 +346,22 @@ def test_evolve_deterministic_bytes(tmp_path, capsys):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def test_evolve_writes_each_row_as_it_is_formed(tmp_path, capsys):
+    steps = 20000
+    out_path = tmp_path / "traj.csv"
+    tracemalloc.start()
+    try:
+        code = main(["evolve", "--lambda", "0.3", "--theta1", "0.9", "--t-max", "12",
+                     "--steps", str(steps), "--out", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(out_path.read_bytes().splitlines()) == steps + 1
+    # the time grid takes 8 B a row; holding every formatted row would take ~350 B a row
+    assert peak <= 16 * steps + 2 ** 20
+
+
 def test_evolve_rejects_bad_ranges(capsys):
     code, _, _ = run_cli(capsys, "evolve", "--lambda", "0.5", "--t-max", "-1",
                          "--steps", "5", "--out", "x.csv")

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from hopfcon import (SO2_GENERATOR, SizeLimitError, apply_local,
+from hopfcon import (SO2_GENERATOR, SizeLimitError, apply_local, concurrence,
                      generator_concurrence, ghz_state, make_state, minor_concurrence, random_state,
                      random_unitary, w_state)
 
@@ -192,3 +192,42 @@ def test_generator_concurrence_at_12_qubits_in_linear_memory():
     assert abs(value - minor_concurrence(state, 2)) <= 1e-12
     # O(N): a few copies of the 2 x N matrix; one N x N array would be 64 MiB
     assert peak <= 32 * state.amplitudes.nbytes
+
+
+@pytest.mark.parametrize("left_dim", [2, 4])
+def test_minor_concurrence_at_12_qubits_in_linear_memory(left_dim):
+    state = random_state(12, (2,) * 12)  # N = 2048 (2xN) or 1024 (4xN) columns
+    tracemalloc.start()
+    try:
+        value = minor_concurrence(state, left_dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(value - concurrence(state, left_dim)) <= 1e-12
+    # O(N): one N x N matrix of minors would be 64 MiB (2xN) or 16 MiB (4xN)
+    assert peak <= 32 * state.amplitudes.nbytes
+
+
+# the oracles sum in row slabs of 2**22 // N**2 rows: N = 200 gives 104-row slabs and a
+# 96-row last one, N = 256 four slabs of 64 rows
+@pytest.mark.parametrize("n1, n2", [(2, 200), (4, 200), (2, 256), (4, 256)])
+def test_minor_concurrence_over_row_slabs_equals_literal_double_loop(n1, n2):
+    state = random_state(80 + n1 + n2, (n1, n2))
+    rows = state.split_matrix(n1).tolist()
+    total = sum(abs(a[k] * b[l] - a[l] * b[k]) ** 2
+                for a, b in combinations(rows, 2)
+                for k, l in combinations(range(n2), 2))
+    assert abs(minor_concurrence(state, n1) - 2 * math.sqrt(total)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [200, 256])
+def test_generator_concurrence_over_row_slabs_equals_literal_double_loop(n):
+    state = random_state(90 + n, (2, n))
+    conj = np.conj(state.split_matrix(2)).tolist()
+    s = SO2_GENERATOR.tolist()
+    # the generator on axes k < l has L[k, l] = 1 = -L[l, k], so <psi| (S x L) |psi*> is the
+    # sum over i, j of S_ij (conj(psi_ik) conj(psi_jl) - conj(psi_il) conj(psi_jk))
+    total = sum(abs(sum(s[i][j] * (conj[i][k] * conj[j][l] - conj[i][l] * conj[j][k])
+                        for i in range(2) for j in range(2))) ** 2
+                for k, l in combinations(range(n), 2))
+    assert abs(generator_concurrence(state) - math.sqrt(total)) < 1e-14

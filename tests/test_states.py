@@ -12,6 +12,7 @@ from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec,
                      products, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state,
                      schmidt_trajectory, state_from_json, state_to_json, w_state)
+from hopfcon.states import _as_amplitudes
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -298,6 +299,11 @@ def test_json_accepts_integral_float_dims():
     lambda: PureState((2,), ["0.6", "0.8j"]),
     lambda: make_state((2,), [Fraction(1), "0"]),
     lambda: make_state((2,), [Fraction(1), False]),
+    # numpy infers a number dtype for these, so the bool is lost unless the elements are read
+    lambda: make_state((2,), [0, True]),
+    lambda: make_state((2,), (1.0, np.False_)),
+    lambda: make_state((2, 2), [[1, 0], [0.0, False]]),
+    lambda: PureState((2,), [0j, True]),
     # a phase r * t that overflows to inf
     lambda: pauli_propagator(LocalHamiltonianSpec(0.9, 0.0, 1e200), 1e200),
     lambda: evolve_closed_form(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200),
@@ -307,8 +313,16 @@ def test_json_accepts_integral_float_dims():
         "negative-seed", "huge-dim-state", "huge-dim-random", "huge-dims-json",
         "huge-dim-and-text", "huge-negative-dim", "make-huge-int", "make-text", "make-ragged",
         "state-huge-int", "state-text", "state-ragged", "make-numeric-text", "make-booleans",
-        "state-numeric-text", "make-object-text", "make-object-boolean", "propagator-phase",
-        "closed-form-phase", "trajectory-phase"])
+        "state-numeric-text", "make-object-text", "make-object-boolean", "make-mixed-boolean",
+        "make-mixed-boolean-tuple", "make-mixed-boolean-nested", "state-mixed-boolean",
+        "propagator-phase", "closed-form-phase", "trajectory-phase"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
+
+
+def test_numbers_convert_and_a_complex_ndarray_is_not_copied():
+    amps = np.array([0.6, 0.8j])
+    assert _as_amplitudes(amps) is amps
+    assert _as_amplitudes([0, 1.5, 10 ** 20, 2j]).tolist() == [0, 1.5, 1e20, 2j]
+    assert _as_amplitudes(((1, 0), (0, 1))).shape == (2, 2)
