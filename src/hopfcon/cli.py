@@ -23,7 +23,7 @@ from dataclasses import fields
 import numpy as np
 
 from .dynamics import LocalHamiltonianSpec, _phase, _trajectory_points
-from .errors import HopfconError, SizeLimitError
+from .errors import HopfconError
 from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
 from .projection import _pair_parts, concurrence, equivariance_error, pack
@@ -33,11 +33,10 @@ from .states import (MAX_PAIR_ENTRIES, apply_local, check_factors, ghz_state, lo
 SPLIT_LEFT_DIM = {"2xN": 2, "4xN": 4}
 DISCREPANCY_LIMIT = 1e-8
 
-# route(state, left_dim) per method; each lambda looks its function up in this
-# module when called, so a test can substitute one.
+# route(state, left_dim) per method
 ROUTES = {
-    "hopf": lambda state, left_dim: concurrence(state, left_dim),
-    "minors": lambda state, left_dim: minor_concurrence(state, left_dim),
+    "hopf": concurrence,
+    "minors": minor_concurrence,
     "generators": lambda state, left_dim: generator_concurrence(state),
 }
 
@@ -86,8 +85,7 @@ def cmd_concurrence(state_file, ghz, w, random_seed, qubits, split, method):
     for name, value in values.items():
         print(f"{name}: {_fixed(value)}")
     if method == "all":
-        results = list(values.values())
-        discrepancy = max(abs(x - y) for x in results for y in results)
+        discrepancy = max(values.values()) - min(values.values())
         print(f"max discrepancy: {discrepancy:.6e}")
         if discrepancy > DISCREPANCY_LIMIT:
             print("discrepancy exceeds tolerance", file=sys.stderr)
@@ -307,8 +305,6 @@ def _run(argv) -> int:
         return options.pop("handler")(**options) or 0
     except SystemExit:  # only --help exits the parser; its errors raise UsageError
         return 0
-    except SizeLimitError as exc:
-        print(f"error: {exc}; concurrence --method hopf has no N^2 cap", file=sys.stderr)
     except (UsageError, HopfconError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     return 1

@@ -6,9 +6,9 @@ generator form (2 x N bipartitions).  Both are used to validate the
 projection pipeline.  Each sums |T_kl|^2 over k < l of an antisymmetric
 N x N term matrix T, formed a row slab at a time (_upper_sum): O(N^2) time
 and O(N) memory.  The oracles share only that summation; their entry
-formulas differ, and neither calls the other.  Their caps bound time, not
-memory: N <= 2048 for the minors (N^2 per row pair) and N <= 2896 for the
-generators (N(N-1)/2), each held to MAX_PAIR_ENTRIES.
+formulas differ, and neither calls the other.  _upper_sum holds the one cap,
+which bounds time, not memory: at most MAX_PAIR_ENTRIES column pairs
+N(N-1)/2, so N <= 2896.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ def _upper_sum(n: int, slab) -> float:
     whole.  A slab has max(1, MAX_PAIR_ENTRIES // n^2) rows, so up to n = 161
     one slab is the whole matrix, and no slab holds more than ~26 K entries.
     """
+    check_size(n * (n - 1) // 2, MAX_PAIR_ENTRIES,
+               "the oracle's sum over column pairs (concurrence --method hopf needs none)")
     rows = max(1, MAX_PAIR_ENTRIES // (n * n))
     total = 0.0
     for start in range(0, n, rows):
@@ -52,7 +54,6 @@ def minor_concurrence(state: PureState, left_dim: int) -> float:
     """
     matrix = state.split_matrix(left_dim)
     n = matrix.shape[1]
-    check_size(n ** 2, MAX_PAIR_ENTRIES, "the matrix of minors")
     total = 0.0
     for a, b in combinations(matrix, 2):
         total += _upper_sum(n, lambda start, stop: (np.outer(a[start:stop], b[start:])
@@ -77,7 +78,6 @@ def generator_concurrence(state: PureState) -> float:
     """
     matrix = state.split_matrix(2)
     n = matrix.shape[1]
-    check_size(n * (n - 1) // 2, MAX_PAIR_ENTRIES, f"the generators of SO({n})")
     conj = np.conj(matrix)
     x = SO2_GENERATOR @ conj
     return math.sqrt(_upper_sum(n, lambda start, stop: (conj[:, start:stop].T @ x[:, start:]

@@ -157,7 +157,8 @@ def _pair_grid(rows: np.ndarray) -> np.ndarray:
 
 def _pair_parts(packed: PackedState):
     """Projection class and (N, N, d/2) complex parts of every pair; N^2 refused above the cap."""
-    check_size(len(packed) ** 2, MAX_PAIR_ENTRIES, "the grid of coefficient pairs")
+    check_size(len(packed) ** 2, MAX_PAIR_ENTRIES,
+               "the grid of coefficient pairs (concurrence --method hopf builds none)")
     return _PROJECTIONS[packed.rows.shape[1]], _complex_parts(_pair_grid(packed.rows))
 
 

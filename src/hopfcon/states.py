@@ -5,7 +5,8 @@ significant: for dims (2, 2, 2) the amplitude of |ijk> sits at index
 4*i + 2*j + k.  Regrouping a multi-qubit state into a bipartition takes the
 contiguous prefix of factors as the left side and is a pure reindexing.
 check_size refuses before allocating: states above MAX_AMPLITUDES = 2**24
-(24 qubits), N x N intermediates above MAX_PAIR_ENTRIES = 2**22 (N = 2048).
+(24 qubits); the pair grid above MAX_PAIR_ENTRIES = 2**22 entries (N = 2048)
+and the oracle sum above as many column pairs (N = 2896).
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class LocalUnitary2:
     def __post_init__(self):
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
-        if abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) > 1e-12:
+        if not abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= 1e-12:  # also rejects NaN
             raise NormalizationError("|a|^2 + |b|^2 must equal 1 within 1e-12")
 
     @property

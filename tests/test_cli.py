@@ -117,7 +117,8 @@ def test_state_above_amplitude_limit_rejected(source, capsys):
                              "--method", "hopf")
     assert code == 1
     assert out == ""
-    assert "--method hopf" in err
+    assert "limit" in err
+    assert "hopf" not in err  # the hopf route is refused by the same limit
 
 
 @pytest.mark.parametrize("args", [["concurrence", "--random", "-1", "--split", "2xN"],
@@ -137,10 +138,11 @@ def test_project_above_pair_limit_rejected(capsys):
     assert code == 1
     assert out == ""
     assert "limit" in err
+    assert "concurrence --method hopf" in err
 
 
 def test_method_all_runs_every_oracle_at_12_qubits(capsys):
-    # N = 2048: the minors matrix is at its limit, the generator walk well inside its own
+    # N = 2048: 2096128 column pairs per oracle sum, inside the cap of 2**22
     code, out, _ = run_cli(capsys, "concurrence", "--random", "1", "--qubits", "12",
                            "--split", "2xN", "--method", "all")
     assert code == 0
@@ -149,12 +151,13 @@ def test_method_all_runs_every_oracle_at_12_qubits(capsys):
 
 
 def test_method_all_prints_nothing_when_a_route_refuses(capsys):
-    # hopf runs at 13 qubits; the minors oracle then refuses its 4096 x 4096 matrix
+    # hopf runs at 13 qubits; the minors oracle then refuses its 4096 * 4095 / 2 column pairs
     code, out, err = run_cli(capsys, "concurrence", "--random", "1", "--qubits", "13",
                              "--split", "2xN", "--method", "all")
     assert code == 1
     assert out == ""
     assert "limit" in err
+    assert "concurrence --method hopf" in err
 
 
 @pytest.mark.parametrize("dims", [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, [],
@@ -413,7 +416,7 @@ def test_verify_single_trial_runs_every_suite(capsys):
 def test_discrepancy_exit_code(monkeypatch, capsys):
     # force a disagreement between methods to exercise the failure wiring
     import hopfcon.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "minor_concurrence", lambda state, d: 0.25)
+    monkeypatch.setitem(cli_mod.ROUTES, "minors", lambda state, d: 0.25)
     code, out, err = run_cli(capsys, "concurrence", "--ghz", "2", "--split", "2xN",
                              "--method", "all")
     assert code == 2
@@ -476,6 +479,7 @@ def test_help_exits_zero(capsys):
     # not a usage error, but the same outcome: the phase r * t overflows to inf
     ["evolve", "--lambda", "0.3", "--theta1", "0.9", "--r", "1e200", "--t-max", "1e200",
      "--steps", "3", "--out", "x.csv"],
+    ["evolve", "--lambda", "0.5", "--t-max", "1", "--steps", "3", "--out", "missing/x.csv"],
     ["verify", "--trials", "0"],
     ["verify", "--seed", "-1"],
     ["concurrence", "--ghz", "3", "--split", "2xN", "--bogus", "1"],
@@ -484,8 +488,8 @@ def test_help_exits_zero(capsys):
     [],
     ["concurrence", "--ghz", "3"],
 ], ids=["qubits-1", "ghz-1", "w-1", "split-3xN", "method-bogus", "lambda-1.5", "r-negative",
-        "steps-1", "steps-huge", "phase-overflow", "trials-0", "seed-negative", "unknown-option",
-        "abbreviation", "unknown-command", "no-command", "missing-split"])
+        "steps-1", "steps-huge", "phase-overflow", "out-missing-dir", "trials-0", "seed-negative",
+        "unknown-option", "abbreviation", "unknown-command", "no-command", "missing-split"])
 def test_usage_error_exits_1(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # evolve must not get as far as writing x.csv
     code, out, err = run_cli(capsys, *args)
@@ -493,6 +497,8 @@ def test_usage_error_exits_1(args, tmp_path, monkeypatch, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert not (tmp_path / "x.csv").exists()
+    if "missing/x.csv" in args:  # the directory does not exist, so open() fails
+        assert "cannot write" in err
 
 
 def test_values_starting_with_a_dash_reach_their_options(tmp_path, monkeypatch, capsys):

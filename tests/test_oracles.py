@@ -151,6 +151,15 @@ def test_oracles_refuse_matrices_above_limits():
         generator_concurrence(state)
 
 
+def test_oracles_share_one_cap_on_column_pairs():
+    # N(N-1)/2 <= 2**22 up to N = 2896, so a non-power-of-two N above 2048 runs in both
+    inside, outside = random_state(1, (2, 2896)), random_state(1, (2, 2897))
+    assert abs(minor_concurrence(inside, 2) - generator_concurrence(inside)) < 1e-12
+    for oracle in (lambda state: minor_concurrence(state, 2), generator_concurrence):
+        with pytest.raises(SizeLimitError, match="concurrence --method hopf"):
+            oracle(outside)
+
+
 def inversion_sign(perm):
     inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
     return -1 if inversions % 2 else 1

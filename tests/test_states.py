@@ -7,8 +7,8 @@ import pytest
 
 from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec, LocalUnitary2,
                      NormalizationError, PackedState, PureState, SizeLimitError, ZeroNormError,
-                     apply_local, evolve_closed_form, ghz_state, load_state, make_state,
-                     pauli_propagator,
+                     apply_local, concurrence, equivariance_error, evolve_closed_form,
+                     ghz_state, load_state, make_state, pauli_propagator,
                      products, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state,
                      schmidt_trajectory, state_from_json, state_to_json, w_state)
@@ -274,11 +274,20 @@ def test_json_accepts_integral_float_dims():
     lambda: ghz_state(1),
     lambda: w_state(1),
     lambda: LocalUnitary2(1.0, 1.0),
+    # NaN fails every comparison, so |a|^2 + |b|^2 - 1 > 1e-12 would let it through
+    lambda: LocalUnitary2(float("nan"), 0.0),
+    lambda: LocalUnitary2(1.0, complex(0.0, float("nan"))),
     lambda: products([[1.0, 0, 0]], [[1.0, 0, 0]]),
     lambda: PackedState(np.eye(2, 3)),
     lambda: right_module_action(quaternify(ghz_state(3)), LocalUnitary2(1, 0),
                                 LocalUnitary2(1, 0)),
     lambda: random_state(-1, (2, 2)),
+    # splits and shapes the hypercomplex routes cannot take
+    lambda: concurrence(random_state(1, (3, 2)), 3),
+    lambda: equivariance_error(random_state(1, (2, 2, 2)), LocalUnitary2(1, 0),
+                               LocalUnitary2(1, 0)),
+    lambda: apply_local(random_state(1, (2, 2)), np.eye(2, 3), np.eye(2)),
+    lambda: apply_local(random_state(1, (2, 2)), np.eye(2), np.eye(2, 3)),
     # dims whose count has more than 4300 digits, which str() of an int refuses to print
     lambda: PureState((10 ** 5000,), [1.0]),
     lambda: random_state(1, (10 ** 5000,)),
@@ -309,9 +318,11 @@ def test_json_accepts_integral_float_dims():
     lambda: evolve_closed_form(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200),
                                LocalHamiltonianSpec(0.0, 0.0), 1e200),
     lambda: schmidt_trajectory(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200), [0.0, 1e200]),
-], ids=["ghz", "w", "unitary", "products", "packed-shape", "module-action",
-        "negative-seed", "huge-dim-state", "huge-dim-random", "huge-dims-json",
-        "huge-dim-and-text", "huge-negative-dim", "make-huge-int", "make-text", "make-ragged",
+], ids=["ghz", "w", "unitary", "unitary-nan-a", "unitary-nan-b", "products", "packed-shape",
+        "module-action", "negative-seed", "concurrence-3xN", "equivariance-3-qubits",
+        "apply-local-left-not-square", "apply-local-right-not-square", "huge-dim-state",
+        "huge-dim-random", "huge-dims-json", "huge-dim-and-text", "huge-negative-dim",
+        "make-huge-int", "make-text", "make-ragged",
         "state-huge-int", "state-text", "state-ragged", "make-numeric-text", "make-booleans",
         "state-numeric-text", "make-object-text", "make-object-boolean", "make-mixed-boolean",
         "make-mixed-boolean-tuple", "make-mixed-boolean-nested", "state-mixed-boolean",
