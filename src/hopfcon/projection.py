@@ -67,7 +67,7 @@ class PackedState:
 
     def norm_squared(self) -> float:
         flat = self.rows.ravel()
-        return float(flat @ flat)
+        return float(np.vdot(flat, flat))  # inf, not an overflow warning as from @
 
     def as_array(self) -> np.ndarray:
         return self.rows

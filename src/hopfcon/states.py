@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,19 +69,19 @@ def check_dims(dims) -> tuple[int, ...]:
 def _as_amplitudes(amplitudes) -> np.ndarray:
     """Amplitudes as a complex array; DimensionMismatchError for anything that does not convert.
 
-    That covers a ragged nesting, an int too large for a float, and any text or
-    boolean, even "1" and True, which numpy would convert: left to infer the dtype,
-    numpy makes it text or boolean, or object around a str or bool, but int for
-    [0, True], so a list or tuple is read as objects first.  A numeric ndarray is
-    neither scanned nor copied.  The message never prints the input, which may be huge.
+    The one amplitude rule, for make_state, PureState, state files and LocalUnitary2: each
+    element's type, or a non-object array's dtype, is a numbers.Number other than bool.  So
+    text, bytes, None and booleans, which numpy would convert, are refused, as are a ragged
+    nesting and an int too large for a float.  A list or tuple is read as objects; a numeric
+    ndarray is neither scanned nor copied.  A norm that overflows is refused later, as inf.
+    The message never prints the input, which may be huge.
     """
     try:
         given = np.asarray(amplitudes, dtype=object if isinstance(amplitudes, (list, tuple))
                            else None)
-        kind = given.dtype.kind
-        if kind in "USb" or kind == "O" and any(isinstance(x, (str, bool, np.bool_))
-                                                for x in given.flat):
-            raise TypeError("text and booleans are not amplitudes")
+        types = set(map(type, given.ravel())) if given.dtype == object else {given.dtype.type}
+        if not all(issubclass(t, numbers.Number) and t is not bool for t in types):
+            raise TypeError("only numbers other than booleans are amplitudes")
         return given.astype(complex, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"amplitudes must be an array of numbers: {exc}") from exc
@@ -107,7 +108,7 @@ class PureState:
         if amps.shape != (math.prod(dims),):  # math.prod: np.prod wraps around at 2**63
             raise DimensionMismatchError(
                 f"expected {math.prod(dims)} amplitudes for dims {dims}, got shape {amps.shape}")
-        check_norm(float(np.linalg.norm(amps)), "state")
+        check_norm(math.sqrt(np.vdot(amps, amps).real), "state")  # inf, not a warning, on overflow
 
     @property
     def total_dim(self) -> int:
@@ -146,9 +147,10 @@ class LocalUnitary2:
     b: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        if not abs(abs(self.a) ** 2 + abs(self.b) ** 2 - 1.0) <= 1e-12:  # also rejects NaN
+        a, b = _as_amplitudes((self.a, self.b)).tolist()
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        if not abs(abs(a) * abs(a) + abs(b) * abs(b) - 1.0) <= 1e-12:  # ** 2 overflows; NaN fails
             raise NormalizationError("|a|^2 + |b|^2 must equal 1 within 1e-12")
 
     @property
@@ -168,7 +170,8 @@ def make_state(dims, amplitudes) -> PureState:
     NormalizationError.
     """
     amps = _as_amplitudes(amplitudes).ravel()
-    norm = float(np.linalg.norm(amps))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, refused by check_norm
+        norm = float(np.linalg.norm(amps))
     if norm < 1e-9:
         raise ZeroNormError("state vector has zero norm")
     check_norm(norm, "state")  # PureState checks dims and the amplitude count
@@ -233,7 +236,8 @@ def apply_local(state: PureState, u_left, u_right) -> PureState:
         raise DimensionMismatchError(
             f"u_right of dimension {u_right.shape[0]} does not match right factor "
             f"of dimension {matrix.shape[1]}")
-    transformed = u_left @ matrix @ u_right.T
+    with np.errstate(over="ignore", invalid="ignore"):  # PureState refuses an inf or NaN norm
+        transformed = u_left @ matrix @ u_right.T
     return PureState(state.dims, transformed.ravel())
 
 
@@ -263,22 +267,18 @@ def state_to_json(state: PureState) -> str:
     return json.dumps(payload)
 
 
-def _amplitude(re, im) -> complex:
-    if isinstance(re, bool) or isinstance(im, bool):  # complex(True, 0) would be 1
-        raise TypeError("a JSON boolean is not a number")
-    return complex(re, im)
-
-
 def state_from_json(text: str | bytes) -> PureState:
     """Parse a state file's text or bytes; a malformed file raises DimensionMismatchError."""
     try:
         payload = json.loads(text)  # ValueError also for bad bytes and ints past 4300 digits
         dims = payload["dims"]
-        amps = np.array([_amplitude(re, im) for re, im in payload["amplitudes"]])
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        pairs = _as_amplitudes(payload["amplitudes"])
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"got shape {pairs.shape}")
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DimensionMismatchError("state JSON must be an object with 'dims' and "
                                      f"'amplitudes' as [re, im] pairs of numbers: {exc}") from exc
-    return make_state(dims, amps)
+    return make_state(dims, pairs.real.copy().view(complex).ravel())  # [re, im] as re + im j
 
 
 def save_state(state: PureState, path) -> None:

@@ -206,6 +206,20 @@ def test_deeply_nested_state_file_end_to_end(tmp_path):
     assert "Traceback" not in result.stderr
 
 
+def test_overflowing_state_file_is_one_error_line_end_to_end(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [2, 2],
+                                "amplitudes": [[1e308, 0], [0, 0], [0, 0], [0, 0]]}))
+    result = subprocess.run(
+        [sys.executable, "-m", "hopfcon", "concurrence", "--state", str(path), "--split", "2xN"],
+        capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()  # no RuntimeWarning lines before the error
+    assert len(lines) == 1
+    assert lines[0].startswith("error: cannot load state file: state norm inf ")
+
+
 def test_project_bell(capsys):
     code, out, _ = run_cli(capsys, "project", "--ghz", "2", "--split", "2xN")
     assert code == 0

@@ -12,6 +12,7 @@ from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec,
                      products, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state,
                      schmidt_trajectory, state_from_json, state_to_json, w_state)
+from hopfcon import states
 from hopfcon.states import _as_amplitudes
 
 SQRT_HALF = 1 / math.sqrt(2)
@@ -34,6 +35,8 @@ def test_make_state_errors():
         make_state((2, 2), [0, 0, 0, 0])
     with pytest.raises(DimensionMismatchError):
         make_state((2, 2), [1, 0, 0])
+    with pytest.raises(DimensionMismatchError):  # not a number, though numpy makes None NaN
+        make_state((2,), [None, 1])
     with pytest.raises(NormalizationError):
         make_state((2, 2), [2, 0, 0, 0])
 
@@ -237,6 +240,8 @@ MALFORMED_FILES = {
     # complex(True, 0) is 1, so these would load as |00> and |1>
     "boolean": b'{"dims": [2, 2], "amplitudes": [[true, 0], [0, 0], [0, 0], [0, 0]]}',
     "boolean-im": b'{"dims": [2], "amplitudes": [[0, 0], [1, false]]}',
+    # null is None, which numpy would convert to NaN
+    "null": b'{"dims": [2], "amplitudes": [[null, 0], [1, 0]]}',
 }
 
 
@@ -313,6 +318,17 @@ def test_json_accepts_integral_float_dims():
     lambda: make_state((2,), (1.0, np.False_)),
     lambda: make_state((2, 2), [[1, 0], [0.0, False]]),
     lambda: PureState((2,), [0j, True]),
+    # finite numbers whose norm overflows: refused as norm inf, with no RuntimeWarning
+    lambda: make_state((2,), [1e308, 0]),
+    lambda: PureState((2,), [1e200, 1e200]),
+    lambda: state_from_json(json.dumps({"dims": [2], "amplitudes": [[1e308, 0], [0, 0]]})),
+    lambda: PackedState(np.array([[1e200, 0, 0, 0], [0, 0, 0, 0]])),
+    lambda: apply_local(random_state(1, (2, 2)), 1e200 * np.eye(2), 1e200 * np.eye(2)),
+    lambda: LocalUnitary2(1e200, 0),
+    # LocalUnitary2 and bytes take the amplitude rule too
+    lambda: LocalUnitary2("1", 0),
+    lambda: LocalUnitary2(True, 0),
+    lambda: make_state((2,), [b"1", 0]),
     # a phase r * t that overflows to inf
     lambda: pauli_propagator(LocalHamiltonianSpec(0.9, 0.0, 1e200), 1e200),
     lambda: evolve_closed_form(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200),
@@ -326,7 +342,10 @@ def test_json_accepts_integral_float_dims():
         "state-huge-int", "state-text", "state-ragged", "make-numeric-text", "make-booleans",
         "state-numeric-text", "make-object-text", "make-object-boolean", "make-mixed-boolean",
         "make-mixed-boolean-tuple", "make-mixed-boolean-nested", "state-mixed-boolean",
-        "propagator-phase", "closed-form-phase", "trajectory-phase"])
+        "make-norm-overflow", "state-norm-overflow", "json-norm-overflow",
+        "packed-norm-overflow", "apply-local-overflow", "unitary-overflow", "unitary-text",
+        "unitary-boolean", "make-bytes", "propagator-phase", "closed-form-phase",
+        "trajectory-phase"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
@@ -337,3 +356,26 @@ def test_numbers_convert_and_a_complex_ndarray_is_not_copied():
     assert _as_amplitudes(amps) is amps
     assert _as_amplitudes([0, 1.5, 10 ** 20, 2j]).tolist() == [0, 1.5, 1e20, 2j]
     assert _as_amplitudes(((1, 0), (0, 1))).shape == (2, 2)
+
+
+def _per_pair(pairs) -> np.ndarray:
+    return np.array([complex(re, im) for re, im in pairs])
+
+
+@pytest.mark.parametrize("qubits", range(1, 13))
+def test_loaded_amplitudes_are_per_pair_complex_renormalized_bit_for_bit(qubits):
+    # off unit norm within tolerance, so renormalizing moves bits
+    amps = random_state(qubits, (2,) * qubits).amplitudes * (1 + 3e-7)
+    pairs = [[a.real, a.imag] for a in amps.tolist()]
+    expected = _per_pair(pairs)
+    expected /= np.linalg.norm(expected)
+    loaded = state_from_json(json.dumps({"dims": [2] * qubits, "amplitudes": pairs}))
+    assert loaded.amplitudes.tobytes() == expected.tobytes()
+
+
+def test_loader_converts_signed_zeros_subnormals_and_big_ints_as_complex_does(monkeypatch):
+    pairs = [[-0.0, 0.6], [0.8, -0.0], [5e-324, -5e-324], [2 ** 53 + 1, 0]]
+    seen = []
+    monkeypatch.setattr(states, "make_state", lambda dims, amps: seen.append(amps))
+    state_from_json(json.dumps({"dims": [2, 2], "amplitudes": pairs}))
+    assert seen[0].tobytes() == _per_pair(pairs).tobytes()
