@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .projection import QuaterState
+from .projection import PackedState
 from .states import PureState, apply_local
 
 
@@ -82,20 +82,13 @@ def _check_weight(lam: float) -> None:
 
 
 def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
-                       spec2: LocalHamiltonianSpec, t: float) -> QuaterState:
+                       spec2: LocalHamiltonianSpec, t: float) -> PackedState:
     """Explicit trig expressions for the evolved quaterbit at time t.
 
     Returns the pair q_i = a_{i0}(t) + a_{i1}(t)*e2 (second qubit packed).
     Written out term by term, independently of any matrix product, so the
     numeric propagator route can serve as a genuine cross-oracle.
     """
-    # row i holds (Re, Im) of a_{i0}, a_{i1}: the quaternion a_{i0} + a_{i1}*e2
-    return QuaterState(_closed_form_amplitudes(lam, spec1, spec2, t).view(float))
-
-
-def _closed_form_amplitudes(lam: float, spec1: LocalHamiltonianSpec,
-                            spec2: LocalHamiltonianSpec, t: float) -> np.ndarray:
-    """The evolved amplitudes a_{ij}(t) of evolve_closed_form, as a 2 x 2 complex array."""
     _check_weight(lam)
     root_lam = math.sqrt(lam)
     root_mu = math.sqrt(1.0 - lam)
@@ -115,7 +108,8 @@ def _closed_form_amplitudes(lam: float, spec1: LocalHamiltonianSpec,
                  + root_mu * s2 * sth2 / ph2 * (c1 + 1j * s1 * cth1))
     a11 = (root_mu * (c1 + 1j * s1 * cth1) * (c2 + 1j * s2 * cth2)
            - root_lam * s1 * s2 * sth1 * sth2 * ph1 * ph2)
-    return np.array([[a00, a01], [a10, a11]])
+    # row i holds (Re, Im) of a_{i0}, a_{i1}: the quaternion a_{i0} + a_{i1}*e2
+    return PackedState(np.array([[a00, a01], [a10, a11]]).view(float))
 
 
 def schmidt_trajectory(lam: float, spec1: LocalHamiltonianSpec,

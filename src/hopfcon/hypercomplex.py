@@ -89,13 +89,8 @@ class Hypercomplex:
         # a frozen dataclass instance's dict holds exactly its fields, in order
         return tuple(vars(self).values())
 
-    @classmethod
-    def _from_complex(cls, *parts: complex):
-        """x0 + x1*e1 + ... from complex parts (x0 + i*x1, x2 + i*x3, ...); missing parts are 0."""
-        return cls(*(x for z in map(complex, parts) for x in (z.real, z.imag)))
-
     def _complex_parts(self) -> tuple[complex, ...]:
-        """Inverse of _from_complex; round-trips exactly."""
+        """The complex parts (x0 + i*x1, x2 + i*x3, ...)."""
         x = iter(self.coefficients())
         return tuple(map(complex, x, x))  # consecutive pairs (x0, x1), (x2, x3), ...
 
@@ -150,12 +145,7 @@ class Quaternion(Hypercomplex):
     x2: float = 0.0
     x3: float = 0.0
 
-    from_complex_pair = classmethod(Hypercomplex._from_complex.__func__)
     complex_pair = Hypercomplex._complex_parts
-
-    def star(self) -> "Quaternion":
-        """The involution z1 + z2*e2 -> z1 - z2*e2 (fixes the complex part)."""
-        return Quaternion(self.x0, self.x1, -self.x2, -self.x3)
 
 
 @dataclass(frozen=True)
@@ -171,20 +161,13 @@ class Octonion(Hypercomplex):
     x6: float = 0.0
     x7: float = 0.0
 
-    from_complex_quadruple = classmethod(Hypercomplex._from_complex.__func__)
-    complex_quadruple = Hypercomplex._complex_parts
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion) -> "Octonion":
-        return cls(*q.coefficients())
-
 
 # The algebra whose elements have d real coefficients.
 ALGEBRAS = {4: Quaternion, 8: Octonion}
 
 
 # quat_mul and oct_mul stay defs, not aliases of Hypercomplex.__mul__, because the
-# benchmark labels its spans by __name__; the other per-algebra names are aliases.
+# benchmark labels its spans by __name__.
 
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     return a * b
@@ -193,11 +176,3 @@ def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
     return a * b
 
-
-quat_conj = Quaternion.conjugate
-quat_star = Quaternion.star
-oct_conj = Octonion.conjugate
-oct_inverse = Octonion.inverse
-
-QUAT_UNITS = tuple(Quaternion(*row) for row in np.eye(4))
-OCT_UNITS = tuple(Octonion(*row) for row in np.eye(8))

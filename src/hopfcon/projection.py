@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SplitMismatchError
-from .hypercomplex import ALGEBRAS, Hypercomplex, Quaternion, products
+from .hypercomplex import ALGEBRAS, Quaternion, products
 from .states import (MAX_PAIR_ENTRIES, LocalUnitary2, PureState, apply_local,
                      check_norm, check_size)
 
@@ -41,15 +41,13 @@ _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
 class PackedState:
     """State as N quaternion or octonion coefficients with unit total norm.
 
-    Stored as read-only real rows (N, d), d = 4 or 8.  Built from such rows
-    or from a sequence of Quaternion or Octonion coefficients.  check_norm
-    applies PureState's tolerance, so every state PureState accepts packs.
+    Built from, and stored as, read-only real rows (N, d), d = 4 or 8.
+    check_norm applies PureState's tolerance, so every state PureState
+    accepts packs.
     """
 
-    def __init__(self, coefficients):
-        if not isinstance(coefficients, np.ndarray):
-            coefficients = [c.coefficients() for c in coefficients]
-        rows = np.array(coefficients, dtype=float)
+    def __init__(self, rows):
+        rows = np.array(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] not in ALGEBRAS:
             raise DimensionMismatchError(
                 f"expected rows of 4 or 8 coefficients, got shape {rows.shape}")
@@ -73,20 +71,8 @@ class PackedState:
         return self.rows
 
 
-QuaterState = PackedState
-
-
-class _Projection:
-    """reconstruct() shared by the projection dataclasses, whose fields are the complex split."""
-
-    def reconstruct(self) -> Hypercomplex:
-        """The projected product a * conj(b), rebuilt from its complex split."""
-        parts = vars(self).values()
-        return ALGEBRAS[2 * len(parts)]._from_complex(*parts)
-
-
 @dataclass(frozen=True)
-class QuatProjection(_Projection):
+class QuatProjection:
     """Complex split S + C*e2 of a projected quaternion pair."""
 
     schmidt: complex
@@ -98,7 +84,7 @@ class QuatProjection(_Projection):
 
 
 @dataclass(frozen=True)
-class OctProjection(_Projection):
+class OctProjection:
     """Quadruple-complex split s0 + s1*e2 + (s2 + s3*e2)*e4 of a projected octonion pair."""
 
     s0: complex
@@ -189,7 +175,7 @@ def concurrence(state: PureState, left_dim: int) -> float:
 
 # quaternify, octonify, quat_project, the two *_pair_projections and the two
 # *_concurrence stay defs, not aliases, because the benchmark labels its spans by
-# __name__; oct_project, which it does not trace, is an alias.
+# __name__.
 
 def quaternify(state: PureState) -> PackedState:
     return pack(state, 2)
@@ -201,9 +187,6 @@ def octonify(state: PureState) -> PackedState:
 
 def quat_project(qj: Quaternion, qk: Quaternion) -> QuatProjection:
     return project(qj, qk)
-
-
-oct_project = project
 
 
 def quat_pair_projections(qstate: PackedState):

@@ -70,18 +70,19 @@ def _as_amplitudes(amplitudes) -> np.ndarray:
     """Amplitudes as a complex array; DimensionMismatchError for anything that does not convert.
 
     The one amplitude rule, for make_state, PureState, state files and LocalUnitary2: each
-    element's type, or a non-object array's dtype, is a numbers.Number other than bool.  So
-    text, bytes, None and booleans, which numpy would convert, are refused, as are a ragged
-    nesting and an int too large for a float.  A list or tuple is read as objects; a numeric
-    ndarray is neither scanned nor copied.  A norm that overflows is refused later, as inf.
-    The message never prints the input, which may be huge.
+    element's type, or a non-object array's dtype, is a numbers.Number other than bool and
+    np.timedelta64.  So text, bytes, None, booleans and durations, which numpy would convert,
+    are refused, as are a ragged nesting and an int too large for a float.  A list or tuple
+    is read as objects; a numeric ndarray is neither scanned nor copied.  A norm that
+    overflows is refused later, as inf.  The message never prints the input, which may be huge.
     """
     try:
         given = np.asarray(amplitudes, dtype=object if isinstance(amplitudes, (list, tuple))
                            else None)
         types = set(map(type, given.ravel())) if given.dtype == object else {given.dtype.type}
-        if not all(issubclass(t, numbers.Number) and t is not bool for t in types):
-            raise TypeError("only numbers other than booleans are amplitudes")
+        if not all(issubclass(t, numbers.Number) and t not in (bool, np.timedelta64)
+                   for t in types):
+            raise TypeError("only numbers other than booleans and durations are amplitudes")
         return given.astype(complex, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"amplitudes must be an array of numbers: {exc}") from exc
@@ -147,7 +148,11 @@ class LocalUnitary2:
     b: complex
 
     def __post_init__(self):
-        a, b = _as_amplitudes((self.a, self.b)).tolist()
+        amplitudes = _as_amplitudes((self.a, self.b))
+        if amplitudes.shape != (2,):
+            raise DimensionMismatchError(f"a and b must be single numbers, got shape "
+                                         f"{amplitudes.shape}")
+        a, b = amplitudes.tolist()
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         if not abs(abs(a) * abs(a) + abs(b) * abs(b) - 1.0) <= 1e-12:  # ** 2 overflows; NaN fails
@@ -157,9 +162,6 @@ class LocalUnitary2:
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b],
                          [-np.conj(self.b), np.conj(self.a)]])
-
-
-IDENTITY_UNITARY = LocalUnitary2(1.0, 0.0)
 
 
 def make_state(dims, amplitudes) -> PureState:

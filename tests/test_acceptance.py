@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from hopfcon import (LocalHamiltonianSpec, OCT_UNITS, QUAT_UNITS, Octonion,
+from hopfcon import (LocalHamiltonianSpec, LocalUnitary2, Octonion, PackedState,
                      Quaternion, apply_local, evolve_closed_form,
                      evolve_numeric, generator_concurrence, ghz_state,
                      make_state, minor_concurrence, oct_concurrence, oct_mul,
@@ -19,7 +19,6 @@ from hopfcon import (LocalHamiltonianSpec, OCT_UNITS, QUAT_UNITS, Octonion,
                      random_unitary, right_module_action, schmidt_initial_state,
                      w_state)
 from hopfcon.cli import main
-from hopfcon.projection import QuaterState
 
 from reference_tables import (OCTONION_TABLE_TEXT, QUATERNION_TABLE_TEXT,
                               parse_table)
@@ -114,22 +113,19 @@ def test_criterion_06_commuting_diagram():
     report(6, "commuting diagram", worst, 1e-10)
 
     worst_schmidt = 0.0
-    from hopfcon import IDENTITY_UNITARY
     for _ in range(200):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
         qstate = quaternify(state)
         coeff_u = random_local_unitary(rng)
-        moved = right_module_action(qstate, coeff_u, IDENTITY_UNITARY)
+        moved = right_module_action(qstate, coeff_u, LocalUnitary2(1, 0))
         closed = transformed_schmidt_part(qstate, coeff_u)
         worst_schmidt = max(worst_schmidt,
                             abs(quat_project(*moved.coefficients).schmidt - closed))
     report(6, "schmidt closed form", worst_schmidt, 1e-10)
 
 
-def _trajectory_packed(state) -> QuaterState:
-    matrix = state.split_matrix(2)
-    return QuaterState(tuple(Quaternion.from_complex_pair(matrix[i, 0], matrix[i, 1])
-                             for i in range(2)))
+def _trajectory_packed(state) -> PackedState:
+    return PackedState(state.split_matrix(2).view(float))
 
 
 def _phase_aligned(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
@@ -205,8 +201,9 @@ def test_criterion_08_separability():
 
 def test_criterion_09_algebra_suite():
     worst = 0.0
-    for cells, units, mul in ((parse_table(QUATERNION_TABLE_TEXT), QUAT_UNITS, quat_mul),
-                              (parse_table(OCTONION_TABLE_TEXT), OCT_UNITS, oct_mul)):
+    for cells, algebra, mul in ((parse_table(QUATERNION_TABLE_TEXT), Quaternion, quat_mul),
+                                (parse_table(OCTONION_TABLE_TEXT), Octonion, oct_mul)):
+        units = tuple(algebra(*row) for row in np.eye(len(cells)))
         dim = len(units)
         for i in range(dim):
             for j in range(dim):
@@ -226,9 +223,10 @@ def test_criterion_09_algebra_suite():
         worst_norm = max(worst_norm, abs(oct_mul(o1, o2).norm() - o1.norm() * o2.norm()))
     report(9, "norm composition", worst_norm, 1e-12)
 
-    left = oct_mul(oct_mul(OCT_UNITS[1], OCT_UNITS[2]), OCT_UNITS[4])
-    right = oct_mul(OCT_UNITS[1], oct_mul(OCT_UNITS[2], OCT_UNITS[4]))
-    exact = (left == OCT_UNITS[7]) and (right == -OCT_UNITS[7])
+    e = tuple(Octonion(*row) for row in np.eye(8))
+    left = oct_mul(oct_mul(e[1], e[2]), e[4])
+    right = oct_mul(e[1], oct_mul(e[2], e[4]))
+    exact = (left == e[7]) and (right == -e[7])
     print(f"ACCEPTANCE  9 [non-associativity witness]: {'PASS' if exact else 'FAIL'}")
     assert exact
 

@@ -5,22 +5,25 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfcon
-from hopfcon import (LocalUnitary2, NormalizationError, Octonion, PureState,
-                     Quaternion, SizeLimitError, SplitMismatchError, apply_local,
-                     concurrence, equivariance_error, generator_concurrence, ghz_state,
-                     make_state,
-                     minor_concurrence, oct_concurrence, oct_pair_projections,
-                     oct_project, octonify, pack,
-                     pair_projections, project, quat_concurrence,
-                     quat_pair_projections, quat_project, quaternify,
+from hopfcon import (LocalUnitary2, NormalizationError, OctProjection, Octonion,
+                     PackedState, PureState, QuatProjection, Quaternion,
+                     SizeLimitError, SplitMismatchError, apply_local, concurrence,
+                     equivariance_error, generator_concurrence, ghz_state, make_state,
+                     minor_concurrence, oct_concurrence, oct_mul, oct_pair_projections,
+                     octonify, pack, pair_projections, project, quat_concurrence,
+                     quat_mul, quat_pair_projections, quat_project, quaternify,
                      random_local_unitary, random_state, random_unitary,
                      right_module_action, verify_equivariance, w_state)
-from hopfcon.projection import QuaterState
 
 from references import (oct_projection_bilinear, quat_projection_bilinear,
                         transformed_schmidt_part)
 
 SQRT_HALF = 1 / math.sqrt(2)
+
+
+def complex_split(x) -> list:
+    """Complex parts (x0 + i*x1, x2 + i*x3, ...) of a quaternion or octonion."""
+    return np.array(x.coefficients()).view(complex).tolist()
 
 
 def product_state(rng, left_dim, right_dim):
@@ -92,7 +95,7 @@ def test_octonify_slot_layout():
     state = make_state((4, 2), amps)
     o0 = octonify(state).coefficients[0]
     assert tuple(pack(state, 4).rows[0]) == o0.coefficients()
-    z0, z1, z2, z3 = o0.complex_quadruple()
+    z0, z1, z2, z3 = complex_split(o0)
     matrix = state.split_matrix(4)
     assert z0 == matrix[0, 0]
     assert z1 == matrix[1, 0]
@@ -137,10 +140,9 @@ def test_quat_projection_reconstructs_product():
     for _ in range(20):
         qa = Quaternion(*rng.standard_normal(4))
         qb = Quaternion(*rng.standard_normal(4))
-        proj = quat_project(qa, qb)
-        from hopfcon import quat_conj, quat_mul
-        assert proj.reconstruct() == quat_mul(qa, quat_conj(qb))
-        assert project(qa, qb).reconstruct() == quat_mul(qa, quat_conj(qb))
+        expected = QuatProjection(*complex_split(quat_mul(qa, qb.conjugate())))
+        assert quat_project(qa, qb) == expected
+        assert project(qa, qb) == expected
 
 
 def test_quat_projection_bilinear_cross_check():
@@ -157,14 +159,14 @@ def test_quat_projection_bilinear_cross_check():
 
 
 def test_oct_project_ghz3_pair():
-    proj = oct_project(*octonify(ghz_state(3)).coefficients)
+    proj = project(*octonify(ghz_state(3)).coefficients)
     assert proj.s0 == 0 and proj.s1 == 0 and proj.s2 == 0
     assert abs(proj.hyper_norm_squared - 0.25) < 1e-15
     assert abs(abs(proj.s3) - 0.5) < 1e-15
 
 
 def test_oct_project_zero_pair():
-    proj = oct_project(Octonion(1), Octonion())
+    proj = project(Octonion(1), Octonion())
     assert proj.s0 == proj.s1 == proj.s2 == proj.s3 == 0
 
 
@@ -178,11 +180,10 @@ def test_oct_project_separable_vanishes():
 
 def test_oct_projection_reconstructs_product():
     rng = np.random.default_rng(6)
-    from hopfcon import oct_conj, oct_mul
     for _ in range(20):
         oa = Octonion(*rng.standard_normal(8))
         ob = Octonion(*rng.standard_normal(8))
-        assert oct_project(oa, ob).reconstruct() == oct_mul(oa, oct_conj(ob))
+        assert project(oa, ob) == OctProjection(*complex_split(oct_mul(oa, ob.conjugate())))
 
 
 def test_oct_projection_bilinear_cross_check():
@@ -487,11 +488,6 @@ def test_traced_names_keep_their_module_and_name():
         assert (fn.__module__, fn.__name__) == (f"hopfcon.{module}", name)
 
 
-def test_quaterstate_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        QuaterState((Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0)))
-
-
 @pytest.mark.parametrize("left_dim", [2, 4])
 def test_pack_accepts_every_state_pure_state_accepts(left_dim):
     # norm 1 + 5e-7 is inside PureState's tolerance; pack must not apply a tighter one
@@ -501,5 +497,5 @@ def test_pack_accepts_every_state_pure_state_accepts(left_dim):
 
 
 def test_quaterstate_of_unnormalized_quaternions_raises_normalization_error():
-    with pytest.raises(NormalizationError):
-        QuaterState((Quaternion(1, 0, 0, 0), Quaternion(1, 0, 0, 0)))
+    with pytest.raises(NormalizationError):  # a ValueError too
+        PackedState(np.array([[1.0, 0, 0, 0], [1.0, 0, 0, 0]]))

@@ -351,6 +351,23 @@ def test_bad_input_raises_a_hopfcon_error(bad_input):
         bad_input()
 
 
+@pytest.mark.parametrize("bad_input", [
+    # a and b of LocalUnitary2 are one number each, not sequences of equal length
+    lambda: LocalUnitary2([1, 0], [0, 1]),
+    lambda: LocalUnitary2([1], [0]),
+    # numpy registers timedelta64 as a numbers.Number and converts it to complex, so
+    # these would load as |0>; a JSON state file holds only ints and floats
+    lambda: make_state((2,), np.array([1, 0], dtype="m8[s]")),
+    lambda: make_state((2,), [np.timedelta64(1, "s"), 0]),
+    lambda: PureState((2,), np.array([1, 0], dtype="m8[s]")),
+    lambda: LocalUnitary2(np.timedelta64(1, "s"), 0),
+], ids=["unitary-rows", "unitary-one-element-lists", "make-duration-array",
+        "make-duration-list", "state-duration-array", "unitary-duration"])
+def test_non_amplitudes_raise_dimension_mismatch(bad_input):
+    with pytest.raises(DimensionMismatchError):
+        bad_input()
+
+
 def test_numbers_convert_and_a_complex_ndarray_is_not_copied():
     amps = np.array([0.6, 0.8j])
     assert _as_amplitudes(amps) is amps
