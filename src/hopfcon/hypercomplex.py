@@ -89,11 +89,6 @@ class Hypercomplex:
         # a frozen dataclass instance's dict holds exactly its fields, in order
         return tuple(vars(self).values())
 
-    def _complex_parts(self) -> tuple[complex, ...]:
-        """The complex parts (x0 + i*x1, x2 + i*x3, ...)."""
-        x = iter(self.coefficients())
-        return tuple(map(complex, x, x))  # consecutive pairs (x0, x1), (x2, x3), ...
-
     def conjugate(self):
         """Keeps x0, negates every imaginary coefficient."""
         x0, *imaginary = self.coefficients()
@@ -112,28 +107,12 @@ class Hypercomplex:
             raise ZeroDivisionError(f"zero {type(self).__name__.lower()} has no inverse")
         return type(self)(*(x / n2 for x in self.conjugate().coefficients()))
 
-    def __add__(self, other):
-        return type(self)(*(a + b for a, b in zip(self.coefficients(), other.coefficients())))
-
-    def __sub__(self, other):
-        return type(self)(*(a - b for a, b in zip(self.coefficients(), other.coefficients())))
-
-    def __neg__(self):
-        return type(self)(*(-a for a in self.coefficients()))
-
     def __mul__(self, other):
-        if isinstance(other, type(self)):
-            product = products([self.coefficients()], [other.coefficients()])
-            return type(self)(*product[:, 0, 0].tolist())
-        if isinstance(other, (int, float)):
-            f = float(other)
-            return type(self)(*(a * f for a in self.coefficients()))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return self.__mul__(other)
-        return NotImplemented
+        """The algebra product of two elements of one algebra; nothing else multiplies."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        product = products([self.coefficients()], [other.coefficients()])
+        return type(self)(*product[:, 0, 0].tolist())
 
 
 @dataclass(frozen=True)
@@ -145,7 +124,9 @@ class Quaternion(Hypercomplex):
     x2: float = 0.0
     x3: float = 0.0
 
-    complex_pair = Hypercomplex._complex_parts
+    def complex_pair(self) -> tuple[complex, complex]:
+        """The complex parts (z1, z2) of q = z1 + z2*e2."""
+        return complex(self.x0, self.x1), complex(self.x2, self.x3)
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SplitMismatchError
 from .hypercomplex import ALGEBRAS, Quaternion, products
-from .states import (MAX_PAIR_ENTRIES, LocalUnitary2, PureState, apply_local,
-                     check_norm, check_size)
+from .states import (MAX_PAIR_ENTRIES, LocalUnitary2, PureState, _as_amplitudes,
+                     apply_local, check_norm, check_size)
 
 # Conjugation keeps e0 and negates the rest; slice to the coefficient count.
 _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
@@ -41,19 +41,20 @@ _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
 class PackedState:
     """State as N quaternion or octonion coefficients with unit total norm.
 
-    Built from, and stored as, read-only real rows (N, d), d = 4 or 8.
-    check_norm applies PureState's tolerance, so every state PureState
-    accepts packs.
+    Built from real numbers under the amplitude rule of states._as_amplitudes, and
+    stored as a read-only copy, rows (N, d), d = 4 or 8.  check_norm applies
+    PureState's tolerance, so every state PureState accepts packs.
     """
 
     def __init__(self, rows):
-        rows = np.array(rows, dtype=float)
+        rows = _as_amplitudes(rows, float).copy()
         if rows.ndim != 2 or rows.shape[1] not in ALGEBRAS:
             raise DimensionMismatchError(
                 f"expected rows of 4 or 8 coefficients, got shape {rows.shape}")
         rows.flags.writeable = False
         self.rows = rows
-        check_norm(math.sqrt(self.norm_squared()), "coefficient")
+        flat = rows.ravel()
+        check_norm(math.sqrt(np.vdot(flat, flat)), "coefficient")  # inf, not a warning as from @
 
     @property
     def coefficients(self) -> tuple:
@@ -62,10 +63,6 @@ class PackedState:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def norm_squared(self) -> float:
-        flat = self.rows.ravel()
-        return float(np.vdot(flat, flat))  # inf, not an overflow warning as from @
 
     def as_array(self) -> np.ndarray:
         return self.rows
@@ -77,10 +74,6 @@ class QuatProjection:
 
     schmidt: complex
     concurrence_part: complex
-
-    @property
-    def concurrence_magnitude(self) -> float:
-        return abs(self.concurrence_part)
 
 
 @dataclass(frozen=True)

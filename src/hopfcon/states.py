@@ -66,24 +66,30 @@ def check_dims(dims) -> tuple[int, ...]:
     return checked
 
 
-def _as_amplitudes(amplitudes) -> np.ndarray:
-    """Amplitudes as a complex array; DimensionMismatchError for anything that does not convert.
+def _as_amplitudes(amplitudes, dtype=complex) -> np.ndarray:
+    """Amplitudes as an array of dtype; DimensionMismatchError for anything that does not convert.
 
-    The one amplitude rule, for make_state, PureState, state files and LocalUnitary2: each
-    element's type, or a non-object array's dtype, is a numbers.Number other than bool and
-    np.timedelta64.  So text, bytes, None, booleans and durations, which numpy would convert,
-    are refused, as are a ragged nesting and an int too large for a float.  A list or tuple
-    is read as objects; a numeric ndarray is neither scanned nor copied.  A norm that
-    overflows is refused later, as inf.  The message never prints the input, which may be huge.
+    The one number rule, for make_state, PureState, state files, LocalUnitary2 and, with
+    dtype float, PackedState's rows: each element's type, or a non-object array's dtype, is a
+    numbers.Number (numbers.Real for float) other than bool and np.timedelta64.  So text,
+    bytes, None, booleans and durations, which numpy would convert, are refused, as are a
+    ragged nesting and an int too large for a float.  A list or tuple is read as objects; a
+    numeric ndarray of dtype is neither scanned nor copied.  A norm that overflows is refused
+    later, as inf.  The message never prints the input, which may be huge.
     """
     try:
         given = np.asarray(amplitudes, dtype=object if isinstance(amplitudes, (list, tuple))
                            else None)
-        types = set(map(type, given.ravel())) if given.dtype == object else {given.dtype.type}
-        if not all(issubclass(t, numbers.Number) and t not in (bool, np.timedelta64)
-                   for t in types):
-            raise TypeError("only numbers other than booleans and durations are amplitudes")
-        return given.astype(complex, copy=False)
+        if given.dtype != object:  # numpy's own number types, timedelta64 aside, by kind
+            numbers_only = given.dtype.kind in ("iuf" if dtype is float else "iufc")
+        else:
+            kind = numbers.Real if dtype is float else numbers.Number
+            numbers_only = all(issubclass(t, kind) and t not in (bool, np.timedelta64)
+                               for t in set(map(type, given.ravel())))
+        if not numbers_only:
+            raise TypeError(f"only {'real ' if dtype is float else ''}numbers other than "
+                            "booleans and durations are amplitudes")
+        return given.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatchError(f"amplitudes must be an array of numbers: {exc}") from exc
 
@@ -114,9 +120,6 @@ class PureState:
     @property
     def total_dim(self) -> int:
         return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def split_matrix(self, left_dim: int) -> np.ndarray:
         """Amplitudes as a left_dim x (total/left_dim) matrix over a prefix bipartition.
@@ -264,7 +267,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def state_to_json(state: PureState) -> str:
     payload = {
         "dims": list(state.dims),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+        "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),  # [re, im] pairs
     }
     return json.dumps(payload)
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec, LocalUnitary2,
-                     NormalizationError, PackedState, PureState, SizeLimitError, ZeroNormError,
-                     apply_local, concurrence, equivariance_error, evolve_closed_form,
-                     ghz_state, load_state, make_state, pauli_propagator,
+                     NormalizationError, PackedState, PureState, Quaternion, SizeLimitError,
+                     ZeroNormError, apply_local, concurrence, equivariance_error,
+                     evolve_closed_form, ghz_state, load_state, make_state, pauli_propagator,
                      products, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state,
                      schmidt_trajectory, state_from_json, state_to_json, w_state)
@@ -22,7 +22,7 @@ def test_make_state_bell():
     state = make_state((2, 2), [SQRT_HALF, 0, 0, SQRT_HALF])
     assert state.dims == (2, 2)
     assert np.allclose(state.amplitudes, [SQRT_HALF, 0, 0, SQRT_HALF])
-    assert abs(state.norm() - 1) < 1e-15
+    assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-15
 
 
 def test_make_state_renormalizes_exactly():
@@ -70,7 +70,7 @@ def test_ghz_state(m):
     nonzero = np.flatnonzero(state.amplitudes)
     assert list(nonzero) == [0, 2 ** m - 1]
     assert np.allclose(state.amplitudes[nonzero], SQRT_HALF)
-    assert abs(state.norm() - 1) < 1e-15
+    assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-15
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -79,7 +79,7 @@ def test_w_state(m):
     nonzero = set(np.flatnonzero(state.amplitudes))
     assert nonzero == {2 ** i for i in range(m)}
     assert np.allclose(state.amplitudes[sorted(nonzero)], 1 / math.sqrt(m))
-    assert abs(state.norm() - 1) < 1e-15
+    assert abs(np.linalg.norm(state.amplitudes) - 1) < 1e-15
 
 
 def test_w2_is_symmetric_bell():
@@ -123,7 +123,7 @@ def test_apply_local_preserves_norm():
     for _ in range(20):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2, 2))
         moved = apply_local(state, random_unitary(2, rng), random_unitary(4, rng))
-        assert abs(moved.norm() - 1) < 1e-12
+        assert abs(np.linalg.norm(moved.amplitudes) - 1) < 1e-12
 
 
 def test_apply_local_accepts_local_unitary2():
@@ -153,7 +153,7 @@ def test_random_state_determinism():
     b = random_state(12345, (2, 4))
     c = random_state(54321, (2, 4))
     assert np.array_equal(a.amplitudes, b.amplitudes)
-    assert abs(a.norm() - 1) < 1e-12
+    assert abs(np.linalg.norm(a.amplitudes) - 1) < 1e-12
     assert np.max(np.abs(a.amplitudes - c.amplitudes)) > 1e-6
 
 
@@ -334,6 +334,17 @@ def test_json_accepts_integral_float_dims():
     lambda: evolve_closed_form(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200),
                                LocalHamiltonianSpec(0.0, 0.0), 1e200),
     lambda: schmidt_trajectory(0.3, LocalHamiltonianSpec(0.9, 0.0, 1e200), [0.0, 1e200]),
+    # PackedState rows take the amplitude rule, restricted to real numbers
+    lambda: PackedState([["1", "0", "0", "0"]]),
+    lambda: PackedState([[True, False, False, False]]),
+    lambda: PackedState(np.eye(1, 4, dtype=bool)),
+    lambda: PackedState(np.eye(1, 4, dtype="m8[s]")),
+    lambda: PackedState([[None, 0, 0, 0]]),
+    lambda: PackedState([[1, 0, 0, 0], [0, 1]]),
+    lambda: PackedState([[[1, 0], 0, 0, 0]]),
+    lambda: PackedState([Quaternion(1, 0, 0, 0)]),
+    lambda: PackedState([[1j, 0, 0, 0]]),
+    lambda: PackedState(np.eye(1, 4, dtype=complex)),
 ], ids=["ghz", "w", "unitary", "unitary-nan-a", "unitary-nan-b", "products", "packed-shape",
         "module-action", "negative-seed", "concurrence-3xN", "equivariance-3-qubits",
         "apply-local-left-not-square", "apply-local-right-not-square", "huge-dim-state",
@@ -345,7 +356,9 @@ def test_json_accepts_integral_float_dims():
         "make-norm-overflow", "state-norm-overflow", "json-norm-overflow",
         "packed-norm-overflow", "apply-local-overflow", "unitary-overflow", "unitary-text",
         "unitary-boolean", "make-bytes", "propagator-phase", "closed-form-phase",
-        "trajectory-phase"])
+        "trajectory-phase", "packed-text", "packed-booleans", "packed-boolean-array",
+        "packed-duration-array", "packed-none", "packed-ragged", "packed-ragged-deeper",
+        "packed-objects", "packed-complex", "packed-complex-array"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
@@ -373,6 +386,23 @@ def test_numbers_convert_and_a_complex_ndarray_is_not_copied():
     assert _as_amplitudes(amps) is amps
     assert _as_amplitudes([0, 1.5, 10 ** 20, 2j]).tolist() == [0, 1.5, 1e20, 2j]
     assert _as_amplitudes(((1, 0), (0, 1))).shape == (2, 2)
+
+
+def test_packed_rows_take_real_numbers_and_copy_an_ndarray():
+    rows = np.eye(1, 4)
+    packed = PackedState(rows)
+    assert packed.rows is not rows and packed.rows.tolist() == rows.tolist()
+    assert PackedState([[Fraction(1), 0, 0, 0]]).rows.tolist() == [[1.0, 0.0, 0.0, 0.0]]
+
+
+@pytest.mark.parametrize("qubits", range(1, 13))
+def test_state_json_is_byte_identical_to_per_amplitude_pairs(qubits):
+    state = random_state(qubits, (2,) * qubits)
+    if qubits == 1:  # signed zeros and the smallest subnormal, in both parts
+        state = PureState((2,), np.array([complex(-0.0, 5e-324), complex(1.0, -0.0)]))
+    per_pair = [[float(a.real), float(a.imag)] for a in state.amplitudes]
+    expected = json.dumps({"dims": list(state.dims), "amplitudes": per_pair})
+    assert state_to_json(state).encode() == expected.encode()
 
 
 def _per_pair(pairs) -> np.ndarray:

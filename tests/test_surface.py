@@ -1,11 +1,18 @@
-"""The public surface: one name per object, and the README's examples run."""
+"""The public surface: one name per object, no test-only names, and the README examples run."""
 
+import ast
+import operator
 import re
 from pathlib import Path
 
-import hopfcon
+import pytest
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+import hopfcon
+from hopfcon import Octonion, Quaternion
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src" / "hopfcon").glob("*.py"))
 
 
 def test_every_exported_name_is_bound_to_its_own_object():
@@ -13,6 +20,30 @@ def test_every_exported_name_is_bound_to_its_own_object():
     for name in hopfcon.__all__:
         names.setdefault(id(getattr(hopfcon, name)), []).append(name)
     assert [group for group in names.values() if len(group) > 1] == []
+
+
+def test_every_name_defined_in_src_is_used_outside_its_def_line():
+    # a def, method, property or class that only tests name is code nothing needs
+    defined = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if is_def and not re.fullmatch(r"__\w+__", node.name):
+                defined[node.name] = defined.get(node.name, 0) + 1
+    text = "\n".join(path.read_text() for path in
+                     [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")), README])
+    unused = [name for name, defs in sorted(defined.items())
+              if len(re.findall(rf"\b{name}\b", text)) <= defs]
+    assert unused == []
+
+
+@pytest.mark.parametrize("algebra", [Quaternion, Octonion])
+@pytest.mark.parametrize("operation", [
+    lambda x: x + x, lambda x: x - x, operator.neg, lambda x: 2 * x, lambda x: x * 2.0,
+], ids=["add", "sub", "neg", "scalar-left", "scalar-right"])
+def test_elements_only_multiply_elements_of_their_algebra(algebra, operation):
+    with pytest.raises(TypeError):
+        operation(algebra(1.0))
 
 
 def test_readme_library_quickstart_runs():
