@@ -12,8 +12,7 @@ from .dynamics import (LocalHamiltonianSpec, TrajectoryPoint,
                        evolve_closed_form, evolve_numeric, pauli_propagator,
                        schmidt_initial_state, schmidt_trajectory)
 from .errors import (DimensionMismatchError, HopfconError, NormalizationError,
-                     ParameterError, SizeLimitError, SplitMismatchError,
-                     ZeroNormError)
+                     ParameterError, SizeLimitError, SplitMismatchError)
 from .hypercomplex import (FANO_TRIPLES, OCTONION_TABLE, QUATERNION_TABLE,
                            Octonion, Quaternion, oct_mul, products, quat_mul)
 from .oracles import SO2_GENERATOR, generator_concurrence, minor_concurrence
@@ -34,7 +33,7 @@ __all__ = [
     "OCTONION_TABLE", "OctProjection", "Octonion", "PackedState",
     "ParameterError", "PureState", "QUATERNION_TABLE", "QuatProjection",
     "Quaternion", "SO2_GENERATOR", "SizeLimitError", "SplitMismatchError",
-    "TrajectoryPoint", "ZeroNormError", "apply_local", "concurrence",
+    "TrajectoryPoint", "apply_local", "concurrence",
     "equivariance_error", "evolve_closed_form", "evolve_numeric",
     "generator_concurrence", "ghz_state", "load_state", "make_state",
     "minor_concurrence", "oct_concurrence", "oct_mul", "oct_pair_projections",

@@ -131,55 +131,47 @@ def cmd_evolve(lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
 
 
 def _suite_oracle_equivalence(rng, trials):
-    worst = 0.0
     for n in (2, 3, 4, 8):
         for _ in range(trials):
             seed = int(rng.integers(2 ** 31))
             for offset, left_dim in enumerate((2, 4)):
                 state = random_state(seed + offset, (left_dim, n))
                 values = [ROUTES[name](state, left_dim) for name in _routes(left_dim)]
-                worst = max(worst, max(values) - min(values))
-    return worst, 1e-10
+                yield max(values) - min(values)
 
 
 def _suite_local_unitary_invariance(rng, trials):
-    worst = 0.0
     for left_dim, n in ((2, 3), (2, 8), (4, 3), (4, 8)):
         for _ in range(trials):
             state = random_state(int(rng.integers(2 ** 31)), (left_dim, n))
             u_left = random_unitary(left_dim, rng)
             u_right = random_unitary(n, rng)
             moved = apply_local(state, u_left, u_right)
-            worst = max(worst, abs(concurrence(state, left_dim)
-                                   - concurrence(moved, left_dim)))
-    return worst, 1e-10
+            yield abs(concurrence(state, left_dim) - concurrence(moved, left_dim))
 
 
 def _suite_equivariance(rng, trials):
-    worst = 0.0
     for _ in range(4 * trials):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
         coeff_u = random_local_unitary(rng)
         fiber_u = random_local_unitary(rng)
-        worst = max(worst, equivariance_error(state, coeff_u, fiber_u))
-    return worst, 1e-10
+        yield equivariance_error(state, coeff_u, fiber_u)
 
 
 def _suite_norm_composition(rng, trials):
-    worst = 0.0
     for _ in range(8 * trials):
         for d, algebra in ALGEBRAS.items():
             x = algebra(*rng.standard_normal(d))
             y = algebra(*rng.standard_normal(d))
-            worst = max(worst, abs((x * y).norm() - x.norm() * y.norm()))
-    return worst, 1e-11
+            yield abs((x * y).norm() - x.norm() * y.norm())
 
 
+# (name, suite(rng, trials) yielding one discrepancy per check, tolerance on the largest)
 VERIFY_SUITES = (
-    ("oracle-equivalence", _suite_oracle_equivalence),
-    ("local-unitary-invariance", _suite_local_unitary_invariance),
-    ("equivariance", _suite_equivariance),
-    ("norm-composition", _suite_norm_composition),
+    ("oracle-equivalence", _suite_oracle_equivalence, 1e-10),
+    ("local-unitary-invariance", _suite_local_unitary_invariance, 1e-10),
+    ("equivariance", _suite_equivariance, 1e-10),
+    ("norm-composition", _suite_norm_composition, 1e-11),
 )
 
 
@@ -187,8 +179,8 @@ def cmd_verify(seed, trials):
     """Run the randomized cross-check suites; nonzero exit on any failure."""
     rng = np.random.default_rng(seed)
     failures = 0
-    for name, suite in VERIFY_SUITES:
-        worst, tolerance = suite(rng, trials)
+    for name, suite, tolerance in VERIFY_SUITES:
+        worst = max(suite(rng, trials))  # each suite draws all of its checks before the next
         status = "PASS" if worst <= tolerance else "FAIL"
         failures += status == "FAIL"
         print(f"{name}: {status} (worst discrepancy {worst:.6e}, tolerance {tolerance:.0e})")

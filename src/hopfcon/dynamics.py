@@ -37,10 +37,13 @@ class LocalHamiltonianSpec:
     r: float = 0.5
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ParameterError("angles must be finite")
-        if not (math.isfinite(self.r) and self.r >= 0.0):
-            raise ParameterError("field magnitude r must be finite and >= 0")
+        try:
+            if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
+                raise ParameterError("angles must be finite")
+            if not (math.isfinite(self.r) and self.r >= 0.0):
+                raise ParameterError("field magnitude r must be finite and >= 0")
+        except TypeError as exc:  # text, complex, None: not a real number
+            raise ParameterError(f"angles and r must be real numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -55,7 +58,10 @@ class TrajectoryPoint:
 
 def _phase(r: float, t) -> float:
     """The phase r * t, refused when it is not finite (a float overflow gives inf)."""
-    phase = r * float(t)
+    try:
+        phase = r * float(t)
+    except (TypeError, ValueError) as exc:  # float() of text, complex or None
+        raise ParameterError(f"r and t must be real numbers: {exc}") from exc
     if not math.isfinite(phase):
         raise ParameterError("the phase r * t must be finite")
     return phase
@@ -77,7 +83,11 @@ def pauli_propagator(spec: LocalHamiltonianSpec, t: float) -> np.ndarray:
 
 
 def _check_weight(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:  # also rejects NaN
+    try:
+        in_range = 0.0 <= lam <= 1.0  # False for NaN
+    except (TypeError, ValueError) as exc:  # text, complex, None, an array: not a real number
+        raise ParameterError(f"lam must be a real number: {exc}") from exc
+    if not in_range:
         raise ParameterError("lam must lie in [0, 1]")
 
 

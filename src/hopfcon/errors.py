@@ -9,10 +9,6 @@ class DimensionMismatchError(HopfconError, ValueError):
     """Amplitude count, factor dimensions, or operator shapes disagree."""
 
 
-class ZeroNormError(HopfconError, ValueError):
-    """A state vector with (numerically) zero norm was supplied."""
-
-
 class NormalizationError(HopfconError, ValueError):
     """A state vector is too far from unit norm to be accepted."""
 

@@ -11,16 +11,18 @@ and the oracle sum above as many column pairs (N = 2896).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (DimensionMismatchError, NormalizationError, ParameterError,
-                     SizeLimitError, SplitMismatchError, ZeroNormError)
+                     SizeLimitError, SplitMismatchError)
 
 NORM_TOLERANCE = 1e-6
 MAX_AMPLITUDES = 2 ** 24
@@ -124,16 +126,11 @@ class PureState:
     def split_matrix(self, left_dim: int) -> np.ndarray:
         """Amplitudes as a left_dim x (total/left_dim) matrix over a prefix bipartition.
 
-        The left factor must be a contiguous prefix of the stored factors
-        whose dimensions multiply exactly to ``left_dim``, and it must leave
-        at least one factor on the right.
+        left_dim must be an integer, the product of a contiguous prefix of one
+        or more stored factors that leaves at least one factor on the right.
         """
-        prod = 1
-        for d in self.dims:
-            if prod == left_dim:
-                break
-            prod *= d
-        if prod != left_dim or left_dim == self.total_dim:
+        prefixes = itertools.accumulate(self.dims[:-1], operator.mul)
+        if not isinstance(left_dim, numbers.Integral) or left_dim not in prefixes:
             raise SplitMismatchError(
                 f"cannot split dims {self.dims} with a left factor of dimension {left_dim}"
                 " and a nontrivial right factor")
@@ -170,23 +167,20 @@ class LocalUnitary2:
 def make_state(dims, amplitudes) -> PureState:
     """Validate and exactly renormalize an amplitude vector.
 
-    The input norm must already be within NORM_TOLERANCE of 1; an (almost)
-    zero vector raises ZeroNormError, anything else out of tolerance raises
-    NormalizationError.
+    The input norm must already be within NORM_TOLERANCE of 1; anything else,
+    the zero vector included, raises NormalizationError before the division.
     """
     amps = _as_amplitudes(amplitudes).ravel()
     with np.errstate(over="ignore"):  # an overflowing norm is inf, refused by check_norm
         norm = float(np.linalg.norm(amps))
-    if norm < 1e-9:
-        raise ZeroNormError("state vector has zero norm")
     check_norm(norm, "state")  # PureState checks dims and the amplitude count
     return PureState(dims, amps / norm)
 
 
 def ghz_state(m: int) -> PureState:
     """m-qubit state (|0...0> + |1...1>)/sqrt(2)."""
-    if m < 2:
-        raise DimensionMismatchError("ghz_state requires at least 2 qubits")
+    if not isinstance(m, numbers.Integral) or m < 2:
+        raise DimensionMismatchError("ghz_state requires an integer of at least 2 qubits")
     check_factors(m, f"the {m}-qubit GHZ state")
     amps = np.zeros(2 ** m, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
@@ -195,8 +189,8 @@ def ghz_state(m: int) -> PureState:
 
 def w_state(m: int) -> PureState:
     """m-qubit state with equal weight 1/sqrt(m) on every single-excitation ket."""
-    if m < 2:
-        raise DimensionMismatchError("w_state requires at least 2 qubits")
+    if not isinstance(m, numbers.Integral) or m < 2:
+        raise DimensionMismatchError("w_state requires an integer of at least 2 qubits")
     check_factors(m, f"the {m}-qubit W state")
     amps = np.zeros(2 ** m, dtype=complex)
     for i in range(m):
@@ -208,8 +202,8 @@ def random_state(seed: int, dims) -> PureState:
     """Haar-like random pure state: i.i.d. complex normal amplitudes, normalized."""
     try:
         rng = np.random.default_rng(seed)
-    except ValueError as exc:  # a negative seed
-        raise ParameterError(f"seed must be non-negative, got {seed}") from exc
+    except (TypeError, ValueError) as exc:  # a negative or non-integer seed
+        raise ParameterError(f"seed must be a non-negative integer: {exc}") from exc
     dims = check_dims(dims)  # before counting, so int() never rounds a bad dim
     check_factors(len(dims), "the random state")  # before math.prod, which is slow on many factors
     n = math.prod(dims)  # a Python int: np.prod wraps around at 2**63
@@ -277,13 +271,13 @@ def state_from_json(text: str | bytes) -> PureState:
     try:
         payload = json.loads(text)  # ValueError also for bad bytes and ints past 4300 digits
         dims = payload["dims"]
-        pairs = _as_amplitudes(payload["amplitudes"])
+        pairs = _as_amplitudes(payload["amplitudes"], float)  # JSON holds no complex numbers
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"got shape {pairs.shape}")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise DimensionMismatchError("state JSON must be an object with 'dims' and "
                                      f"'amplitudes' as [re, im] pairs of numbers: {exc}") from exc
-    return make_state(dims, pairs.real.copy().view(complex).ravel())  # [re, im] as re + im j
+    return make_state(dims, pairs.view(complex).ravel())  # [re, im] as re + im j
 
 
 def save_state(state: PureState, path) -> None:

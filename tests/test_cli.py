@@ -220,6 +220,17 @@ def test_overflowing_state_file_is_one_error_line_end_to_end(tmp_path):
     assert lines[0].startswith("error: cannot load state file: state norm inf ")
 
 
+def test_zero_state_file_is_one_norm_error_line(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[0, 0]] * 4}))
+    code, out, err = run_cli(capsys, "concurrence", "--state", str(path), "--split", "2xN")
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: cannot load state file: state norm 0.0 ")
+
+
 def test_project_bell(capsys):
     code, out, _ = run_cli(capsys, "project", "--ghz", "2", "--split", "2xN")
     assert code == 0
@@ -439,7 +450,7 @@ def test_discrepancy_exit_code(monkeypatch, capsys):
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import hopfcon.cli as cli_mod
-    broken = (("broken-suite", lambda rng, trials: (1.0, 1e-12)),)
+    broken = (("broken-suite", lambda rng, trials: iter([1.0]), 1e-12),)
     monkeypatch.setattr(cli_mod, "VERIFY_SUITES", broken)
     code, out, err = run_cli(capsys, "verify", "--trials", "1")
     assert code == 2

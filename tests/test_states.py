@@ -7,8 +7,8 @@ import pytest
 
 from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec, LocalUnitary2,
                      NormalizationError, PackedState, PureState, Quaternion, SizeLimitError,
-                     ZeroNormError, apply_local, concurrence, equivariance_error,
-                     evolve_closed_form, ghz_state, load_state, make_state, pauli_propagator,
+                     apply_local, concurrence, equivariance_error, evolve_closed_form,
+                     ghz_state, load_state, make_state, minor_concurrence, pauli_propagator,
                      products, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state,
                      schmidt_trajectory, state_from_json, state_to_json, w_state)
@@ -31,7 +31,7 @@ def test_make_state_renormalizes_exactly():
 
 
 def test_make_state_errors():
-    with pytest.raises(ZeroNormError):
+    with pytest.raises(NormalizationError):
         make_state((2, 2), [0, 0, 0, 0])
     with pytest.raises(DimensionMismatchError):
         make_state((2, 2), [1, 0, 0])
@@ -44,6 +44,21 @@ def test_make_state_errors():
 def test_make_state_rejects_nan():
     with pytest.raises(NormalizationError):
         make_state((2, 2), [math.nan, 0, 0, 1])
+
+
+def _load_zero_state_file(tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[0, 0]] * 4}))
+    return load_state(path)
+
+
+@pytest.mark.parametrize("build", [lambda tmp_path: PureState((2,), [0, 0]),
+                                   lambda tmp_path: make_state((2, 2), [0, 0, 0, 0]),
+                                   _load_zero_state_file],
+                         ids=["pure-state", "make-state", "state-file"])
+def test_zero_vector_is_refused_by_the_norm_check(build, tmp_path):
+    with pytest.raises(NormalizationError, match=r"^state norm 0\.0 deviates"):
+        build(tmp_path)
 
 
 def test_amplitudes_are_read_only():
@@ -177,6 +192,14 @@ def test_split_matrix_rejects_bad_prefix():
     from hopfcon import SplitMismatchError
     with pytest.raises(SplitMismatchError):
         ghz_state(2).split_matrix(3)
+    # an empty prefix multiplies to 1, and 2.0 equals 2 but is no dimension
+    for bad in (lambda: ghz_state(3).split_matrix(1),
+                lambda: minor_concurrence(ghz_state(3), 1),
+                lambda: apply_local(ghz_state(3), np.eye(1), np.eye(8)),
+                lambda: concurrence(ghz_state(3), 2.0)):
+        with pytest.raises(SplitMismatchError):
+            bad()
+    assert ghz_state(3).split_matrix(np.int64(4)).shape == (4, 2)
 
 
 def test_json_round_trip(tmp_path):
@@ -345,6 +368,15 @@ def test_json_accepts_integral_float_dims():
     lambda: PackedState([Quaternion(1, 0, 0, 0)]),
     lambda: PackedState([[1j, 0, 0, 0]]),
     lambda: PackedState(np.eye(1, 4, dtype=complex)),
+    # builders and dynamics parameters that are not numbers of the right kind
+    lambda: ghz_state("3"),
+    lambda: ghz_state(3.0),
+    lambda: w_state("3"),
+    lambda: random_state(1.5, (2, 2)),
+    lambda: LocalHamiltonianSpec("a", 0),
+    lambda: LocalHamiltonianSpec(0, 0, 1j),
+    lambda: schmidt_trajectory("a", LocalHamiltonianSpec(0.9, 0.0), [0.0]),
+    lambda: schmidt_trajectory(0.5, LocalHamiltonianSpec(0.9, 0.0), ["a"]),
 ], ids=["ghz", "w", "unitary", "unitary-nan-a", "unitary-nan-b", "products", "packed-shape",
         "module-action", "negative-seed", "concurrence-3xN", "equivariance-3-qubits",
         "apply-local-left-not-square", "apply-local-right-not-square", "huge-dim-state",
@@ -358,10 +390,18 @@ def test_json_accepts_integral_float_dims():
         "unitary-boolean", "make-bytes", "propagator-phase", "closed-form-phase",
         "trajectory-phase", "packed-text", "packed-booleans", "packed-boolean-array",
         "packed-duration-array", "packed-none", "packed-ragged", "packed-ragged-deeper",
-        "packed-objects", "packed-complex", "packed-complex-array"])
+        "packed-objects", "packed-complex", "packed-complex-array", "ghz-text", "ghz-float",
+        "w-text", "random-float-seed", "spec-text-angle", "spec-complex-r",
+        "trajectory-text-lam", "trajectory-text-time"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
+
+
+def test_builders_take_numpy_integers():
+    assert ghz_state(np.int64(3)).dims == w_state(np.int32(3)).dims == (2, 2, 2)
+    assert np.array_equal(random_state(np.int64(3), (2, 2)).amplitudes,
+                          random_state(3, (2, 2)).amplitudes)
 
 
 @pytest.mark.parametrize("bad_input", [

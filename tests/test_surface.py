@@ -37,6 +37,21 @@ def test_every_name_defined_in_src_is_used_outside_its_def_line():
     assert unused == []
 
 
+def test_every_error_class_is_raised_in_src_and_exported():
+    # a class with no raiser of its own is a second name for a condition another class reports
+    errors = ast.parse((ROOT / "src" / "hopfcon" / "errors.py").read_text())
+    classes = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(getattr(exc, "id", None))
+    assert "HopfconError" in classes
+    assert sorted(classes - {"HopfconError"} - raised) == []
+    assert sorted(classes - set(hopfcon.__all__)) == []
+
+
 @pytest.mark.parametrize("algebra", [Quaternion, Octonion])
 @pytest.mark.parametrize("operation", [
     lambda x: x + x, lambda x: x - x, operator.neg, lambda x: 2 * x, lambda x: x * 2.0,
