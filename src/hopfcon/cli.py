@@ -22,7 +22,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .dynamics import LocalHamiltonianSpec, _phase, _trajectory_points
+from .dynamics import LocalHamiltonianSpec, _trajectory_points
 from .errors import HopfconError
 from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
@@ -118,8 +118,7 @@ def cmd_evolve(lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
         raise UsageError("--t-max must be positive and finite")
     spec1 = LocalHamiltonianSpec(theta1, phi1, r)
     LocalHamiltonianSpec(theta2, phi2, r)  # validates the unused angles too
-    _phase(r, t_max)  # the largest phase, so an overflow is refused before the file is opened
-    points = _trajectory_points(lam, spec1, np.linspace(0.0, t_max, steps))
+    points = _trajectory_points(lam, spec1, np.linspace(0.0, t_max, steps))  # refuses bad input now
     try:
         with open(out, "w", newline="") as handle:
             handle.write("t,schmidt_re,schmidt_im,concurrence\n")

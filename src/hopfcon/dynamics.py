@@ -23,27 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DimensionMismatchError
 from .projection import PackedState
-from .states import PureState, apply_local
+from .states import PureState, _as_amplitudes, _as_real, apply_local
 
 
 @dataclass(frozen=True)
 class LocalHamiltonianSpec:
-    """Single-qubit field r * (sin t cos p, sin t sin p, cos t) . sigma."""
+    """Single-qubit field r * (sin t cos p, sin t sin p, cos t) . sigma; finite floats, r >= 0."""
 
     theta: float
     phi: float
     r: float = 0.5
 
     def __post_init__(self):
-        try:
-            if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-                raise ParameterError("angles must be finite")
-            if not (math.isfinite(self.r) and self.r >= 0.0):
-                raise ParameterError("field magnitude r must be finite and >= 0")
-        except TypeError as exc:  # text, complex, None: not a real number
-            raise ParameterError(f"angles and r must be real numbers: {exc}") from exc
+        for name, low in (("theta", -math.inf), ("phi", -math.inf), ("r", 0.0)):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name, low))
 
 
 @dataclass(frozen=True)
@@ -56,39 +51,20 @@ class TrajectoryPoint:
     concurrence_mag: float
 
 
-def _phase(r: float, t) -> float:
-    """The phase r * t, refused when it is not finite (a float overflow gives inf)."""
-    try:
-        phase = r * float(t)
-    except (TypeError, ValueError) as exc:  # float() of text, complex or None
-        raise ParameterError(f"r and t must be real numbers: {exc}") from exc
-    if not math.isfinite(phase):
-        raise ParameterError("the phase r * t must be finite")
-    return phase
-
-
 def pauli_propagator(spec: LocalHamiltonianSpec, t: float) -> np.ndarray:
     """exp(-i H t) for H = r * n.sigma: cos(rt) I - i sin(rt) n.sigma, written out entrywise.
 
     n.sigma = [[nz, nx - i ny], [nx + i ny, -nz]] with
     n = (sin theta cos phi, sin theta sin phi, cos theta).
     """
-    phase = _phase(spec.r, t)
+    t = _as_real(t, "t")
+    phase = _as_real(spec.r * t, "the phase r * t")  # r * t is inf on overflow
     c, s = math.cos(phase), math.sin(phase)
     sin_theta = math.sin(spec.theta)
     nx, ny, nz = (sin_theta * math.cos(spec.phi), sin_theta * math.sin(spec.phi),
                   math.cos(spec.theta))
     return np.array([[complex(c, -s * nz), complex(-s * ny, -s * nx)],
                      [complex(s * ny, -s * nx), complex(c, s * nz)]])
-
-
-def _check_weight(lam: float) -> None:
-    try:
-        in_range = 0.0 <= lam <= 1.0  # False for NaN
-    except (TypeError, ValueError) as exc:  # text, complex, None, an array: not a real number
-        raise ParameterError(f"lam must be a real number: {exc}") from exc
-    if not in_range:
-        raise ParameterError("lam must lie in [0, 1]")
 
 
 def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
@@ -99,10 +75,11 @@ def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
     Written out term by term, independently of any matrix product, so the
     numeric propagator route can serve as a genuine cross-oracle.
     """
-    _check_weight(lam)
+    lam, t = _as_real(lam, "lam", 0.0, 1.0), _as_real(t, "t")
     root_lam = math.sqrt(lam)
     root_mu = math.sqrt(1.0 - lam)
-    phase1, phase2 = _phase(spec1.r, t), _phase(spec2.r, t)
+    phase1 = _as_real(spec1.r * t, "the phase r * t")
+    phase2 = _as_real(spec2.r * t, "the phase r * t")
     c1, s1 = math.cos(phase1), math.sin(phase1)
     c2, s2 = math.cos(phase2), math.sin(phase2)
     cth1, sth1 = math.cos(spec1.theta), math.sin(spec1.theta)
@@ -137,18 +114,25 @@ def schmidt_trajectory(lam: float, spec1: LocalHamiltonianSpec,
 
 
 def _trajectory_points(lam: float, spec1: LocalHamiltonianSpec, times):
-    """The points of schmidt_trajectory one at a time, each formed when it is asked for."""
-    _check_weight(lam)
+    """schmidt_trajectory's points, each formed when asked for; bad input is refused first."""
+    lam = _as_real(lam, "lam", 0.0, 1.0)
+    times = _as_amplitudes(times, float)  # one read of the grid, no copy of a float ndarray
+    if times.ndim != 1:
+        raise DimensionMismatchError("times must be a one-dimensional sequence of real numbers")
+    t_max = float(max(times.max(initial=0.0), -times.min(initial=0.0)))  # NaN if any is NaN
+    _as_real(spec1.r * t_max, "the phase r * t")  # the largest |r t|: every phase is finite
     weight = 2.0 * lam - 1.0
     conc = math.sqrt(lam * (1.0 - lam))
     cth, sth = math.cos(spec1.theta), math.sin(spec1.theta)
     cph, sph = math.cos(spec1.phi), math.sin(spec1.phi)
-    for t in times:
-        phase = _phase(spec1.r, t)
-        c, s = math.cos(phase), math.sin(phase)
+
+    def point(t: float) -> TrajectoryPoint:
+        c, s = math.cos(spec1.r * t), math.sin(spec1.r * t)
         re = weight * s * sth * (s * cth * cph + c * sph)
         im = weight * s * sth * (c * cph - s * cth * sph)
-        yield TrajectoryPoint(float(t), re + 0.0, im + 0.0, conc)
+        return TrajectoryPoint(t, re + 0.0, im + 0.0, conc)
+
+    return map(point, map(float, times))
 
 
 def evolve_numeric(state: PureState, spec1: LocalHamiltonianSpec,
@@ -159,7 +143,7 @@ def evolve_numeric(state: PureState, spec1: LocalHamiltonianSpec,
 
 def schmidt_initial_state(lam: float) -> PureState:
     """The Schmidt-form initial state sqrt(lam)|00> + sqrt(1-lam)|11>."""
-    _check_weight(lam)
+    lam = _as_real(lam, "lam", 0.0, 1.0)
     amps = np.zeros(4, dtype=complex)
     amps[0] = math.sqrt(lam)
     amps[3] = math.sqrt(1.0 - lam)

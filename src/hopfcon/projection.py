@@ -212,6 +212,8 @@ def right_module_action(qstate: PackedState, coefficient_unitary: LocalUnitary2,
     """
     if len(qstate) != 2 or qstate.rows.shape[1] != 4:
         raise DimensionMismatchError("right_module_action expects 2 quaternion coefficients")
+    if not all(isinstance(u, LocalUnitary2) for u in (coefficient_unitary, fiber_unitary)):
+        raise DimensionMismatchError("right_module_action takes two LocalUnitary2 elements")
     mixed = coefficient_unitary.matrix @ qstate.rows.view(complex)
     scalar = np.array([[fiber_unitary.a, -fiber_unitary.b.conjugate()]]).view(float)
     return PackedState(products(mixed.view(float), scalar)[:, :, 0].T)

@@ -11,6 +11,7 @@ and the oracle sum above as many column pairs (N = 2896).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -37,9 +38,9 @@ def check_size(count: int, limit: int, what: str) -> None:
 
 def check_factors(m: int, what: str) -> None:
     """check_size of m factors of dimension >= 2 against MAX_AMPLITUDES; 2**m is never formed."""
-    if m > math.log2(MAX_AMPLITUDES):
-        raise SizeLimitError(f"{what} would hold at least 2**{m} entries, above the limit of "
-                             f"{MAX_AMPLITUDES}")
+    if m > math.log2(MAX_AMPLITUDES):  # the message leaves m out: str() refuses 4300 digits
+        raise SizeLimitError(f"{what} has too many factors: it would hold more entries than "
+                             f"the limit of {MAX_AMPLITUDES}")
 
 
 def check_norm(norm: float, what: str) -> None:
@@ -57,7 +58,7 @@ def check_dims(dims) -> tuple[int, ...]:
     """
     try:
         given = tuple(dims)
-        checked = tuple(int(d) for d in given)
+        checked = tuple(int(d) for d in given if _is_number(type(d), numbers.Real))
     except (TypeError, ValueError, OverflowError):  # not a sequence of finite numbers
         given, checked = None, ()
     if checked and max(checked) > MAX_AMPLITUDES:
@@ -68,16 +69,34 @@ def check_dims(dims) -> tuple[int, ...]:
     return checked
 
 
+@functools.lru_cache  # issubclass on an ABC is slow next to a lookup; a process meets few types
+def _is_number(value_type: type, kind=numbers.Number) -> bool:
+    """The number rule's type test: a subclass of kind, but neither bool nor np.timedelta64."""
+    return issubclass(value_type, kind) and value_type not in (bool, np.timedelta64)
+
+
+def _as_real(value, what: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """The number rule for one real: value as a finite float in [low, high], else ParameterError."""
+    try:
+        number = float(value) if _is_number(type(value), numbers.Real) else math.nan
+    except OverflowError:  # an int or a Fraction past the float range
+        number = math.nan
+    if not (math.isfinite(number) and low <= number <= high):
+        limits = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
+        raise ParameterError(f"{what} must be a finite real number{limits}")
+    return number
+
+
 def _as_amplitudes(amplitudes, dtype=complex) -> np.ndarray:
     """Amplitudes as an array of dtype; DimensionMismatchError for anything that does not convert.
 
-    The one number rule, for make_state, PureState, state files, LocalUnitary2 and, with
-    dtype float, PackedState's rows: each element's type, or a non-object array's dtype, is a
-    numbers.Number (numbers.Real for float) other than bool and np.timedelta64.  So text,
-    bytes, None, booleans and durations, which numpy would convert, are refused, as are a
-    ragged nesting and an int too large for a float.  A list or tuple is read as objects; a
-    numeric ndarray of dtype is neither scanned nor copied.  A norm that overflows is refused
-    later, as inf.  The message never prints the input, which may be huge.
+    The number rule for arrays, for make_state, PureState, state files, LocalUnitary2,
+    apply_local's matrices and, with dtype float, PackedState's rows and the dynamics' times:
+    each element's type passes _is_number (as a numbers.Real for float), or a non-object
+    array's dtype is a numpy number kind.  So text, bytes, None, booleans and durations,
+    which numpy would convert, are refused, as are a ragged nesting and an int too large for
+    a float.  A list or tuple is read as objects; a numeric ndarray of dtype is neither
+    scanned nor copied.  The message never prints the input, which may be huge.
     """
     try:
         given = np.asarray(amplitudes, dtype=object if isinstance(amplitudes, (list, tuple))
@@ -86,14 +105,13 @@ def _as_amplitudes(amplitudes, dtype=complex) -> np.ndarray:
             numbers_only = given.dtype.kind in ("iuf" if dtype is float else "iufc")
         else:
             kind = numbers.Real if dtype is float else numbers.Number
-            numbers_only = all(issubclass(t, kind) and t not in (bool, np.timedelta64)
-                               for t in set(map(type, given.ravel())))
+            numbers_only = all(_is_number(t, kind) for t in set(map(type, given.ravel())))
         if not numbers_only:
             raise TypeError(f"only {'real ' if dtype is float else ''}numbers other than "
-                            "booleans and durations are amplitudes")
+                            "booleans and durations are accepted")
         return given.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DimensionMismatchError(f"amplitudes must be an array of numbers: {exc}") from exc
+        raise DimensionMismatchError(f"expected an array of numbers: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -106,8 +124,10 @@ class PureState:
     def __post_init__(self):
         """The one check of a state: integer dims >= 2, one amplitude per ket, unit norm."""
         dims = check_dims(self.dims)
-        amps = _as_amplitudes(self.amplitudes).copy()
-        amps.flags.writeable = False
+        amps = _as_amplitudes(self.amplitudes)
+        if amps.flags.writeable or not amps.flags.owndata:  # an owned, read-only array is kept
+            amps = amps.copy()
+            amps.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
         if len(dims) > 64:  # 2**65 amplitudes or more, which no array holds: not multiplied out
@@ -130,10 +150,10 @@ class PureState:
         or more stored factors that leaves at least one factor on the right.
         """
         prefixes = itertools.accumulate(self.dims[:-1], operator.mul)
-        if not isinstance(left_dim, numbers.Integral) or left_dim not in prefixes:
-            raise SplitMismatchError(
-                f"cannot split dims {self.dims} with a left factor of dimension {left_dim}"
-                " and a nontrivial right factor")
+        if not _is_number(type(left_dim), numbers.Integral) or left_dim not in prefixes:
+            raise SplitMismatchError(  # left_dim is left out: str() refuses 4300 digits
+                f"cannot split dims {self.dims} there: the left dimension must be the product "
+                "of a prefix of one or more factors that leaves a nontrivial right factor")
         return self.amplitudes.reshape(left_dim, self.total_dim // left_dim)
 
 
@@ -174,14 +194,16 @@ def make_state(dims, amplitudes) -> PureState:
     with np.errstate(over="ignore"):  # an overflowing norm is inf, refused by check_norm
         norm = float(np.linalg.norm(amps))
     check_norm(norm, "state")  # PureState checks dims and the amplitude count
-    return PureState(dims, amps / norm)
+    amps = amps / norm
+    amps.flags.writeable = False  # so PureState keeps this array and makes no second copy
+    return PureState(dims, amps)
 
 
 def ghz_state(m: int) -> PureState:
     """m-qubit state (|0...0> + |1...1>)/sqrt(2)."""
-    if not isinstance(m, numbers.Integral) or m < 2:
+    if not _is_number(type(m), numbers.Integral) or m < 2:
         raise DimensionMismatchError("ghz_state requires an integer of at least 2 qubits")
-    check_factors(m, f"the {m}-qubit GHZ state")
+    check_factors(m, "the GHZ state")
     amps = np.zeros(2 ** m, dtype=complex)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return PureState((2,) * m, amps)
@@ -189,9 +211,9 @@ def ghz_state(m: int) -> PureState:
 
 def w_state(m: int) -> PureState:
     """m-qubit state with equal weight 1/sqrt(m) on every single-excitation ket."""
-    if not isinstance(m, numbers.Integral) or m < 2:
+    if not _is_number(type(m), numbers.Integral) or m < 2:
         raise DimensionMismatchError("w_state requires an integer of at least 2 qubits")
-    check_factors(m, f"the {m}-qubit W state")
+    check_factors(m, "the W state")
     amps = np.zeros(2 ** m, dtype=complex)
     for i in range(m):
         amps[2 ** i] = 1.0 / math.sqrt(m)
@@ -200,10 +222,9 @@ def w_state(m: int) -> PureState:
 
 def random_state(seed: int, dims) -> PureState:
     """Haar-like random pure state: i.i.d. complex normal amplitudes, normalized."""
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:  # a negative or non-integer seed
-        raise ParameterError(f"seed must be a non-negative integer: {exc}") from exc
+    if not _is_number(type(seed), numbers.Integral) or seed < 0:  # None: a new state each call
+        raise ParameterError("seed must be a non-negative integer")
+    rng = np.random.default_rng(seed)
     dims = check_dims(dims)  # before counting, so int() never rounds a bad dim
     check_factors(len(dims), "the random state")  # before math.prod, which is slow on many factors
     n = math.prod(dims)  # a Python int: np.prod wraps around at 2**63
@@ -212,20 +233,14 @@ def random_state(seed: int, dims) -> PureState:
     return PureState(dims, amps / np.linalg.norm(amps))
 
 
-def _as_matrix(u) -> np.ndarray:
-    if isinstance(u, LocalUnitary2):
-        return u.matrix
-    return np.asarray(u, dtype=complex)
-
-
 def apply_local(state: PureState, u_left, u_right) -> PureState:
     """Apply (u_left tensor u_right) across the prefix bipartition the shapes select.
 
     u_left acts on the contiguous prefix of factors matching its dimension,
     u_right on the rest; either may be a LocalUnitary2 or a square array.
     """
-    u_left = _as_matrix(u_left)
-    u_right = _as_matrix(u_right)
+    u_left = u_left.matrix if isinstance(u_left, LocalUnitary2) else _as_amplitudes(u_left)
+    u_right = u_right.matrix if isinstance(u_right, LocalUnitary2) else _as_amplitudes(u_right)
     if u_left.ndim != 2 or u_left.shape[0] != u_left.shape[1]:
         raise DimensionMismatchError("u_left must be a square matrix")
     if u_right.ndim != 2 or u_right.shape[0] != u_right.shape[1]:

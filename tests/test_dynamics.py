@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hopfcon import (LocalHamiltonianSpec, PackedState, Quaternion,
+from hopfcon import (LocalHamiltonianSpec, PackedState, ParameterError, Quaternion,
                      evolve_closed_form, evolve_numeric, ghz_state,
                      minor_concurrence, pauli_propagator, quat_project,
                      quaternify, schmidt_initial_state, schmidt_trajectory)
+from hopfcon.dynamics import _trajectory_points
 
 
 def random_spec(rng, r=0.5):
@@ -68,6 +70,28 @@ def test_spec_validation():
         evolve_closed_form(1.5, LocalHamiltonianSpec(0, 0), LocalHamiltonianSpec(0, 0), 1.0)
     with pytest.raises(ValueError):
         schmidt_trajectory(-0.1, LocalHamiltonianSpec(0, 0), [0.0])
+
+
+def test_trajectory_refuses_before_its_first_point_and_copies_no_grid():
+    # no point is asked for: a caller such as evolve opens its file only after this call
+    for lam, times in ((0.3, [0.0, 1e200]), (0.3, [0.0, math.nan]), (math.nan, [0.0])):
+        with pytest.raises(ParameterError):
+            _trajectory_points(lam, LocalHamiltonianSpec(0.9, 0.0, 1e200), times)
+    times = np.linspace(0.0, 10.0, 2 ** 17)
+    tracemalloc.start()
+    try:
+        points = _trajectory_points(0.3, LocalHamiltonianSpec(0.9, 0.0), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < times.nbytes / 8
+    assert next(points).t == 0.0
+
+
+def test_spec_fields_are_the_floats_read_from_them():
+    spec = LocalHamiltonianSpec(np.float64(0.5), 1, r=np.int64(2))
+    assert [type(x) for x in (spec.theta, spec.phi, spec.r)] == [float] * 3
+    assert (spec.theta, spec.phi, spec.r) == (0.5, 1.0, 2.0)
 
 
 def test_closed_form_at_zero_time():

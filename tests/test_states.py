@@ -1,17 +1,20 @@
 import json
 import math
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec, LocalUnitary2,
-                     NormalizationError, PackedState, PureState, Quaternion, SizeLimitError,
-                     apply_local, concurrence, equivariance_error, evolve_closed_form,
-                     ghz_state, load_state, make_state, minor_concurrence, pauli_propagator,
-                     products, quaternify, random_local_unitary, random_state,
-                     random_unitary, right_module_action, save_state,
-                     schmidt_trajectory, state_from_json, state_to_json, w_state)
+                     NormalizationError, PackedState, ParameterError, PureState, Quaternion,
+                     SizeLimitError, SplitMismatchError, apply_local, concurrence,
+                     equivariance_error, evolve_closed_form, ghz_state, load_state,
+                     make_state, minor_concurrence, pack, pauli_propagator, products,
+                     quaternify, random_local_unitary, random_state, random_unitary,
+                     right_module_action, save_state, schmidt_trajectory, state_from_json,
+                     state_to_json, w_state)
 from hopfcon import states
 from hopfcon.states import _as_amplitudes
 
@@ -377,6 +380,8 @@ def test_json_accepts_integral_float_dims():
     lambda: LocalHamiltonianSpec(0, 0, 1j),
     lambda: schmidt_trajectory("a", LocalHamiltonianSpec(0.9, 0.0), [0.0]),
     lambda: schmidt_trajectory(0.5, LocalHamiltonianSpec(0.9, 0.0), ["a"]),
+    # a Decimal is a numbers.Number but not a numbers.Real
+    lambda: schmidt_trajectory(Decimal("0.5"), LocalHamiltonianSpec(0.9, 0.0), [0.0]),
 ], ids=["ghz", "w", "unitary", "unitary-nan-a", "unitary-nan-b", "products", "packed-shape",
         "module-action", "negative-seed", "concurrence-3xN", "equivariance-3-qubits",
         "apply-local-left-not-square", "apply-local-right-not-square", "huge-dim-state",
@@ -392,10 +397,69 @@ def test_json_accepts_integral_float_dims():
         "packed-duration-array", "packed-none", "packed-ragged", "packed-ragged-deeper",
         "packed-objects", "packed-complex", "packed-complex-array", "ghz-text", "ghz-float",
         "w-text", "random-float-seed", "spec-text-angle", "spec-complex-r",
-        "trajectory-text-lam", "trajectory-text-time"])
+        "trajectory-text-lam", "trajectory-text-time", "trajectory-decimal-lam"])
 def test_bad_input_raises_a_hopfcon_error(bad_input):
     with pytest.raises(HopfconError):
         bad_input()
+
+
+TWO_QUBITS = random_state(1, (2, 2))
+SPEC = LocalHamiltonianSpec(0.9, 0.0)
+UNIT = LocalUnitary2(1, 0)
+
+
+@pytest.mark.parametrize("bad_input, error", [
+    # the message would format an int past str()'s 4300 digits
+    (lambda: ghz_state(10 ** 5000), SizeLimitError),
+    (lambda: w_state(10 ** 5000), SizeLimitError),
+    (lambda: concurrence(TWO_QUBITS, 10 ** 5000), SplitMismatchError),
+    (lambda: pack(TWO_QUBITS, 10 ** 5000), SplitMismatchError),
+    (lambda: minor_concurrence(TWO_QUBITS, 10 ** 5000), SplitMismatchError),
+    # numpy would seed from the OS for None, a different state on every call
+    (lambda: random_state(None, (2, 2)), ParameterError),
+    (lambda: random_state(True, (2, 2)), ParameterError),
+    (lambda: random_state([1], (2, 2)), ParameterError),
+    # apply_local's matrices take the amplitude rule; numpy would convert the text
+    (lambda: apply_local(TWO_QUBITS, [["1", "0"], ["0", "1"]], np.eye(2)), DimensionMismatchError),
+    # the module action takes LocalUnitary2 elements, not their matrices
+    (lambda: right_module_action(quaternify(TWO_QUBITS), np.eye(2), UNIT), DimensionMismatchError),
+    (lambda: right_module_action(quaternify(TWO_QUBITS), UNIT, None), DimensionMismatchError),
+    (lambda: equivariance_error(TWO_QUBITS, np.eye(2), UNIT), DimensionMismatchError),
+    (lambda: equivariance_error(TWO_QUBITS, UNIT, np.eye(2)), DimensionMismatchError),
+    # the dynamics read each parameter with the scalar reader of the number rule
+    (lambda: pauli_propagator(SPEC, "1.5"), ParameterError),
+    (lambda: LocalHamiltonianSpec(True, False, True), ParameterError),
+    (lambda: LocalHamiltonianSpec(10 ** 400, 0), ParameterError),
+    # a time grid is one-dimensional
+    (lambda: schmidt_trajectory(0.5, SPEC, 1.0), DimensionMismatchError),
+    (lambda: schmidt_trajectory(0.5, SPEC, [[0.0]]), DimensionMismatchError),
+], ids=["ghz-5000-digits", "w-5000-digits", "concurrence-5000-digits", "pack-5000-digits",
+        "minors-5000-digits", "seed-none", "seed-true", "seed-list", "apply-local-text",
+        "module-action-matrix", "module-action-none", "equivariance-coefficient-matrix",
+        "equivariance-fiber-matrix", "propagator-text-time", "spec-booleans", "spec-huge-int",
+        "trajectory-scalar-times", "trajectory-2d-times"])
+def test_number_rule_refusals_raise_their_class(bad_input, error):
+    with pytest.raises(error):
+        bad_input()
+
+
+def test_make_state_holds_one_copy_and_pure_state_copies_what_others_can_write():
+    dims = (2,) * 16
+    amps = random_state(5, dims).amplitudes * (1 + 3e-7)
+    norm = float(np.linalg.norm(amps))
+    tracemalloc.start()
+    try:
+        state = make_state(dims, amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * amps.nbytes  # the renormalized state, not a second copy of it
+    assert state.amplitudes.tobytes() == (amps / norm).tobytes()
+    base = np.array([1, 0], dtype=complex)
+    view = base.view()
+    view.flags.writeable = False  # read-only, but its base is not
+    for given in (base, view):
+        assert not np.shares_memory(PureState((2,), given).amplitudes, base)
 
 
 def test_builders_take_numpy_integers():

@@ -1,14 +1,21 @@
-"""The public surface: one name per object, no test-only names, and the README examples run."""
+"""The public surface: one name per object, no test-only names, the README examples run,
+and every number a caller passes is read by the one number rule."""
 
 import ast
 import operator
 import re
+from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hopfcon
-from hopfcon import Octonion, Quaternion
+from hopfcon import (HopfconError, LocalHamiltonianSpec, LocalUnitary2, Octonion, PackedState,
+                     PureState, Quaternion, apply_local, concurrence, equivariance_error,
+                     evolve_closed_form, evolve_numeric, ghz_state, make_state,
+                     minor_concurrence, pack, pauli_propagator, quaternify, random_state,
+                     right_module_action, schmidt_initial_state, schmidt_trajectory, w_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -65,3 +72,69 @@ def test_readme_library_quickstart_runs():
     section = README.read_text().split("## Library quickstart", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, f"{README.name} (Library quickstart)", "exec"), {})
+
+
+STATE = random_state(1, (2, 2))
+PACKED = quaternify(STATE)
+SPEC = LocalHamiltonianSpec(0.9, 0.4)
+UNIT = LocalUnitary2(1, 0)
+
+# every public entry point that takes a number from its caller, as (call, a real is required)
+NUMBER_SLOTS = {
+    "ghz_state": (ghz_state, True),
+    "w_state": (w_state, True),
+    "random_state-seed": (lambda v: random_state(v, (2, 2)), True),
+    "random_state-dims": (lambda v: random_state(0, (2, v)), True),
+    "PureState-dims": (lambda v: PureState((v,), [1, 0]), True),
+    "PureState-amplitude": (lambda v: PureState((2,), [v, 0]), False),
+    "make_state-amplitude": (lambda v: make_state((2,), [v, 0]), False),
+    "LocalUnitary2-a": (lambda v: LocalUnitary2(v, 0), False),
+    "LocalUnitary2-b": (lambda v: LocalUnitary2(1, v), False),
+    "PackedState-row": (lambda v: PackedState([[v, 0, 0, 0]]), True),
+    "apply_local-entry": (lambda v: apply_local(STATE, [[v, 0], [0, 1]], np.eye(2)), False),
+    "apply_local-matrix": (lambda v: apply_local(STATE, np.eye(2), v), False),
+    "spec-theta": (lambda v: LocalHamiltonianSpec(v, 0), True),
+    "spec-phi": (lambda v: LocalHamiltonianSpec(0, v), True),
+    "spec-r": (lambda v: LocalHamiltonianSpec(0, 0, v), True),
+    "pauli_propagator-t": (lambda v: pauli_propagator(SPEC, v), True),
+    "evolve_closed_form-lam": (lambda v: evolve_closed_form(v, SPEC, SPEC, 0.0), True),
+    "evolve_closed_form-t": (lambda v: evolve_closed_form(0.5, SPEC, SPEC, v), True),
+    "evolve_numeric-t": (lambda v: evolve_numeric(STATE, SPEC, SPEC, v), True),
+    "schmidt_trajectory-lam": (lambda v: schmidt_trajectory(v, SPEC, [0.0]), True),
+    "schmidt_trajectory-time": (lambda v: schmidt_trajectory(0.5, SPEC, [0.0, v]), True),
+    "schmidt_initial_state-lam": (schmidt_initial_state, True),
+    "concurrence-left_dim": (lambda v: concurrence(STATE, v), True),
+    "minor_concurrence-left_dim": (lambda v: minor_concurrence(STATE, v), True),
+    "pack-left_dim": (lambda v: pack(STATE, v), True),
+    "right_module_action-coefficient": (lambda v: right_module_action(PACKED, v, UNIT), True),
+    "right_module_action-fiber": (lambda v: right_module_action(PACKED, UNIT, v), True),
+    "equivariance_error-coefficient": (lambda v: equivariance_error(STATE, v, UNIT), True),
+    "equivariance_error-fiber": (lambda v: equivariance_error(STATE, UNIT, v), True),
+}
+
+# (value, kind): a non-number must be refused everywhere, a non-real wherever a real is required
+JUNK = {
+    "text": ("1", "non-number"), "bytes": (b"1", "non-number"), "None": (None, "non-number"),
+    "True": (True, "non-number"), "np.True_": (np.True_, "non-number"),
+    "timedelta64": (np.timedelta64(2, "s"), "non-number"), "object": (object(), "non-number"),
+    "list": ([1.0], "non-number"), "Decimal": (Decimal("0.5"), "non-real"),
+    "complex": (1j, "non-real"), "nan": (float("nan"), "number"), "inf": (float("inf"), "number"),
+    "1e400-int": (10 ** 400, "number"), "5000-digit-int": (10 ** 5000, "number"),
+}
+
+
+@pytest.mark.parametrize("value, kind", JUNK.values(), ids=JUNK)
+def test_every_number_slot_returns_or_raises_a_hopfcon_error(value, kind):
+    # runs under -W error, so a warning on the way counts as the wrong exception too
+    wrong = {}
+    for slot, (call, real) in NUMBER_SLOTS.items():
+        try:
+            call(value)
+        except HopfconError:
+            continue
+        except Exception as exc:  # anything but a HopfconError is a hole in the number rule
+            wrong[slot] = type(exc).__name__
+            continue
+        if kind == "non-number" or (kind == "non-real" and real):
+            wrong[slot] = "accepted"
+    assert wrong == {}
