@@ -23,7 +23,7 @@ from .projection import (OctProjection, PackedState, QuatProjection, concurrence
                          right_module_action, verify_equivariance)
 from .states import (LocalUnitary2, PureState, apply_local, ghz_state, load_state,
                      make_state, random_local_unitary, random_state, random_unitary,
-                     save_state, state_from_json, state_to_json, w_state)
+                     save_state, w_state)
 
 __version__ = "0.1.0"
 
@@ -41,6 +41,6 @@ __all__ = [
     "project", "quat_concurrence", "quat_mul", "quat_pair_projections",
     "quat_project", "quaternify", "random_local_unitary", "random_state",
     "random_unitary", "right_module_action", "save_state",
-    "schmidt_initial_state", "schmidt_trajectory", "state_from_json",
-    "state_to_json", "verify_equivariance", "w_state",
+    "schmidt_initial_state", "schmidt_trajectory", "verify_equivariance",
+    "w_state",
 ]

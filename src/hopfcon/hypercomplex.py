@@ -11,7 +11,9 @@ transcription errors detectable: the test suite asserts every
 basis-product cell independently.
 
 Every product in the package, from one scalar to the N x N grid of a
-packed state's coefficient pairs, goes through products().
+packed state's coefficient pairs, goes through _products(), the kernel of
+the public products(); its callers hand it rows already under the number
+rule.
 
 Conventions used throughout the package:
 
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
+from .states import _as_amplitudes, _as_real
 
 # Index triples (i, j, k) with e_i * e_j = e_k; totally antisymmetric.
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7),
@@ -58,6 +61,13 @@ _TABLE_ROWS = {len(table): table.transpose(2, 0, 1).reshape(-1, len(table)).asty
                for table in (QUATERNION_TABLE, OCTONION_TABLE)}
 
 
+def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """products() of float64 rows already under the number rule: finite, d = 4 or 8."""
+    d = a.shape[-1]
+    right = (_TABLE_ROWS[d] @ b.T).reshape(d, d, len(b))  # right[k, p, j]
+    return a @ right
+
+
 def products(a, b) -> np.ndarray:
     """Every product a_i * b_j of two stacks of coefficient rows.
 
@@ -66,16 +76,17 @@ def products(a, b) -> np.ndarray:
     the e_k component of a_i * b_j.  Two matrix products with the
     structure table compute it: the first folds the table into b, the
     second contracts a's rows against the result.  A 1 x 1 call is a
-    scalar product; peak memory is the d*m*n output.
+    scalar product; peak memory is the d*m*n output.  Both stacks are
+    read by the number rule of states._as_amplitudes and must be finite
+    (inf * 0 in the matrix products would be NaN, with a RuntimeWarning).
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = a.shape[-1]
-    if d not in _TABLE_ROWS or b.shape[-1] != d:
-        raise DimensionMismatchError(
-            f"products needs rows of 4 or 8 coefficients, got {d} and {b.shape[-1]}")
-    right = (_TABLE_ROWS[d] @ b.T).reshape(d, d, len(b))  # right[k, p, j]
-    return a @ right
+    a, b = _as_amplitudes(a, float), _as_amplitudes(b, float)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] not in _TABLE_ROWS or b.shape[1] != a.shape[1]:
+        raise DimensionMismatchError("products needs two stacks of rows of 4 or 8 "
+                                     f"coefficients, got shapes {a.shape} and {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DimensionMismatchError("products needs finite coefficients")
+    return _products(a, b)
 
 
 class Hypercomplex:
@@ -84,6 +95,11 @@ class Hypercomplex:
     Subclasses are frozen dataclasses whose fields x0, x1, ... are the real
     coefficients on e0 = 1, e1, ...
     """
+
+    def __post_init__(self):
+        """Each coefficient under the number rule of states._as_real, stored as a float."""
+        for name, value in vars(self).items():
+            object.__setattr__(self, name, _as_real(value, name))
 
     def coefficients(self) -> tuple[float, ...]:
         # a frozen dataclass instance's dict holds exactly its fields, in order
@@ -111,8 +127,9 @@ class Hypercomplex:
         """The algebra product of two elements of one algebra; nothing else multiplies."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        product = products([self.coefficients()], [other.coefficients()])
-        return type(self)(*product[:, 0, 0].tolist())
+        product = _products(np.array(self.coefficients(), ndmin=2),
+                            np.array(other.coefficients(), ndmin=2))
+        return type(self)(*product.ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ magnitudes sum, over all pairs, to the squared 2x2 minors of the
 amplitude matrix -- which is why the assembled quantity
 2 * sqrt(sum over pairs) is exactly the bipartite concurrence.  Both
 algebras run through one code path: the packed coefficients are real rows
-(N, d) with d = 2 * left_dim, and every product comes from products().
+(N, d) with d = 2 * left_dim, and every product comes from the kernel of
+hypercomplex.products().
 concurrence() first compresses the amplitude matrix M to R^T, from a reduced
 QR M^T = Q R: Lambda^2(R^T Q^T) = Lambda^2(R^T) Lambda^2(Q^T) and Q^T has
 orthonormal rows, so the sum of squared minors is kept.  project() and
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SplitMismatchError
-from .hypercomplex import ALGEBRAS, Quaternion, products
+from .hypercomplex import ALGEBRAS, Quaternion, _products
 from .states import (MAX_PAIR_ENTRIES, LocalUnitary2, PureState, _as_amplitudes,
                      apply_local, check_norm, check_size)
 
@@ -125,13 +126,14 @@ def _complex_parts(grid: np.ndarray) -> np.ndarray:
 
 def project(a, b):
     """Stereographic projection of a coefficient pair: the complex split of a * conj(b)."""
-    grid = products([a.coefficients()], [b.conjugate().coefficients()])
+    a_row, b_row = np.array(a.coefficients(), ndmin=2), np.array(b.coefficients(), ndmin=2)
+    grid = _products(a_row, b_row * _CONJ_SIGNS[:b_row.shape[1]])  # the row of conj(b)
     return _PROJECTIONS[len(grid)](*_complex_parts(grid)[0, 0].tolist())
 
 
 def _pair_grid(rows: np.ndarray) -> np.ndarray:
     """Products c_j * conj(c_k) of every coefficient pair, shape (d, N, N)."""
-    return products(rows, rows * _CONJ_SIGNS[:rows.shape[1]])
+    return _products(rows, rows * _CONJ_SIGNS[:rows.shape[1]])
 
 
 def _pair_parts(packed: PackedState):
@@ -216,7 +218,7 @@ def right_module_action(qstate: PackedState, coefficient_unitary: LocalUnitary2,
         raise DimensionMismatchError("right_module_action takes two LocalUnitary2 elements")
     mixed = coefficient_unitary.matrix @ qstate.rows.view(complex)
     scalar = np.array([[fiber_unitary.a, -fiber_unitary.b.conjugate()]]).view(float)
-    return PackedState(products(mixed.view(float), scalar)[:, :, 0].T)
+    return PackedState(_products(mixed.view(float), scalar)[:, :, 0].T)
 
 
 def equivariance_error(state: PureState, coefficient_unitary: LocalUnitary2,

@@ -91,7 +91,8 @@ def _as_amplitudes(amplitudes, dtype=complex) -> np.ndarray:
     """Amplitudes as an array of dtype; DimensionMismatchError for anything that does not convert.
 
     The number rule for arrays, for make_state, PureState, state files, LocalUnitary2,
-    apply_local's matrices and, with dtype float, PackedState's rows and the dynamics' times:
+    apply_local's matrices and, with dtype float, PackedState's rows, the rows of
+    products and the dynamics' times:
     each element's type passes _is_number (as a numbers.Real for float), or a non-object
     array's dtype is a numpy number kind.  So text, bytes, None, booleans and durations,
     which numpy would convert, are refused, as are a ragged nesting and an int too large for
@@ -266,6 +267,10 @@ def random_local_unitary(rng: np.random.Generator) -> LocalUnitary2:
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a complex Gaussian matrix."""
+    if not _is_number(type(n), numbers.Integral) or n < 1:
+        raise ParameterError("n must be a positive integer")
+    if int(n) ** 2 > MAX_AMPLITUDES:  # the message leaves n out: str() refuses 4300 digits
+        raise SizeLimitError(f"a random unitary would hold more than {MAX_AMPLITUDES} entries")
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
@@ -273,18 +278,20 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def state_to_json(state: PureState) -> str:
+def save_state(state: PureState, path) -> None:
+    """Write a state file: {"dims": [...], "amplitudes": [[re, im], ...]}."""
     payload = {
         "dims": list(state.dims),
         "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),  # [re, im] pairs
     }
-    return json.dumps(payload)
+    Path(path).write_text(json.dumps(payload))
 
 
-def state_from_json(text: str | bytes) -> PureState:
-    """Parse a state file's text or bytes; a malformed file raises DimensionMismatchError."""
+def load_state(path) -> PureState:
+    """Read a state file; DimensionMismatchError if malformed, OSError if it cannot be read."""
+    data = Path(path).read_bytes()  # outside the try: an OSError is not a malformed file
     try:
-        payload = json.loads(text)  # ValueError also for bad bytes and ints past 4300 digits
+        payload = json.loads(data)  # ValueError also for bad bytes and ints past 4300 digits
         dims = payload["dims"]
         pairs = _as_amplitudes(payload["amplitudes"], float)  # JSON holds no complex numbers
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -293,11 +300,3 @@ def state_from_json(text: str | bytes) -> PureState:
         raise DimensionMismatchError("state JSON must be an object with 'dims' and "
                                      f"'amplitudes' as [re, im] pairs of numbers: {exc}") from exc
     return make_state(dims, pairs.view(complex).ravel())  # [re, im] as re + im j
-
-
-def save_state(state: PureState, path) -> None:
-    Path(path).write_text(state_to_json(state))
-
-
-def load_state(path) -> PureState:
-    return state_from_json(Path(path).read_bytes())

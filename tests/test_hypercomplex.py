@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,3 +188,10 @@ def test_norm_zero_iff_zero():
     assert Octonion().norm_squared() == 0
     assert Quaternion(1e-8, 0, 0, 0).norm_squared() > 0
     assert Octonion(*([1e-8] * 8)).norm_squared() > 0
+
+
+def test_coefficients_are_stored_as_floats():
+    # any real other than a finite float is read as a float by the number rule
+    q = Quaternion(1, Fraction(1, 2), np.int64(-3), np.float32(0.25))
+    assert q.coefficients() == (1.0, 0.5, -3.0, 0.25)
+    assert all(type(x) is float for x in (*q.coefficients(), *(q * q).coefficients()))

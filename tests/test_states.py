@@ -1,8 +1,10 @@
 import json
 import math
+import tempfile
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,12 +15,19 @@ from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec,
                      equivariance_error, evolve_closed_form, ghz_state, load_state,
                      make_state, minor_concurrence, pack, pauli_propagator, products,
                      quaternify, random_local_unitary, random_state, random_unitary,
-                     right_module_action, save_state, schmidt_trajectory, state_from_json,
-                     state_to_json, w_state)
+                     right_module_action, save_state, schmidt_trajectory, w_state)
 from hopfcon import states
 from hopfcon.states import _as_amplitudes
 
 SQRT_HALF = 1 / math.sqrt(2)
+
+
+def _load_file(content) -> PureState:
+    """load_state of a file holding content: bytes as they are, anything else as JSON."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "state.json"
+        path.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+        return load_state(path)
 
 
 def test_make_state_bell():
@@ -214,8 +223,10 @@ def test_json_round_trip(tmp_path):
     assert np.allclose(loaded.amplitudes, state.amplitudes, atol=1e-15)
 
 
-def test_json_schema_shape():
-    payload = json.loads(state_to_json(ghz_state(2)))
+def test_json_schema_shape(tmp_path):
+    path = tmp_path / "ghz.json"
+    save_state(ghz_state(2), path)
+    payload = json.loads(path.read_text())
     assert payload["dims"] == [2, 2]
     assert payload["amplitudes"][0] == [SQRT_HALF, 0.0]
     assert len(payload["amplitudes"]) == 4
@@ -224,9 +235,9 @@ def test_json_schema_shape():
 def test_json_rejects_non_normalized():
     payload = {"dims": [2], "amplitudes": [[1.0, 0.0], [0.1, 0.0]]}
     with pytest.raises(NormalizationError):
-        state_from_json(json.dumps(payload))
+        _load_file(payload)
     with pytest.raises(DimensionMismatchError):
-        state_from_json(json.dumps({"dims": [2, 2]}))
+        _load_file({"dims": [2, 2]})
 
 
 MALFORMED_DIMS = [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, [], [2] * 15000]
@@ -237,7 +248,7 @@ MALFORMED_DIMS = [2, [2.5, 2], ["a", 2], [None, 2], [2] * 64, [], [2] * 15000]
 def test_json_rejects_malformed_dims(dims):
     payload = {"dims": dims, "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     with pytest.raises(DimensionMismatchError) as info:
-        state_from_json(json.dumps(payload))
+        _load_file(payload)
     if dims == [2] * 64:  # the true count, which np.prod would wrap to 0
         assert str(2 ** 64) in str(info.value)
 
@@ -252,7 +263,7 @@ def test_state_needs_at_least_one_factor():
     with pytest.raises(DimensionMismatchError):
         PureState((), [1.0])
     with pytest.raises(DimensionMismatchError):  # one amplitude matches math.prod(()) == 1
-        state_from_json(json.dumps({"dims": [], "amplitudes": [[1.0, 0.0]]}))
+        _load_file({"dims": [], "amplitudes": [[1.0, 0.0]]})
     assert PureState((2,), [1.0, 0.0]).dims == (2,)
 
 
@@ -278,17 +289,17 @@ def test_malformed_state_file_raises_dimension_mismatch(name, tmp_path):
     path.write_bytes(content)
     with pytest.raises(DimensionMismatchError, match=r"\[re, im\]"):
         load_state(path)
-    with pytest.raises(DimensionMismatchError):
-        state_from_json(content)
 
 
 def test_state_file_bytes_are_decoded_by_json(tmp_path):
-    text = state_to_json(random_state(78, (2, 2)))
+    plain = tmp_path / "plain.json"
+    save_state(random_state(78, (2, 2)), plain)
+    text = plain.read_text()
     path = tmp_path / "bom.json"
     path.write_bytes(b"\xef\xbb\xbf" + text.encode())  # a UTF-8 byte order mark
-    assert np.array_equal(load_state(path).amplitudes, state_from_json(text).amplitudes)
-    assert np.array_equal(state_from_json(text.encode("utf-16")).amplitudes,
-                          state_from_json(text).amplitudes)
+    assert np.array_equal(load_state(path).amplitudes, load_state(plain).amplitudes)
+    assert np.array_equal(_load_file(text.encode("utf-16")).amplitudes,
+                          load_state(plain).amplitudes)
 
 
 def test_make_state_reports_the_norm_before_the_count():
@@ -298,7 +309,7 @@ def test_make_state_reports_the_norm_before_the_count():
 
 def test_json_accepts_integral_float_dims():
     payload = {"dims": [2.0, 2], "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
-    assert state_from_json(json.dumps(payload)).dims == (2, 2)
+    assert _load_file(payload).dims == (2, 2)
 
 
 @pytest.mark.parametrize("bad_input", [
@@ -309,6 +320,8 @@ def test_json_accepts_integral_float_dims():
     lambda: LocalUnitary2(float("nan"), 0.0),
     lambda: LocalUnitary2(1.0, complex(0.0, float("nan"))),
     lambda: products([[1.0, 0, 0]], [[1.0, 0, 0]]),
+    # one row is a stack of one, [[...]], not [...]
+    lambda: products([1.0, 0, 0, 0], [[1.0, 0, 0, 0]]),
     lambda: PackedState(np.eye(2, 3)),
     lambda: right_module_action(quaternify(ghz_state(3)), LocalUnitary2(1, 0),
                                 LocalUnitary2(1, 0)),
@@ -322,7 +335,7 @@ def test_json_accepts_integral_float_dims():
     # dims whose count has more than 4300 digits, which str() of an int refuses to print
     lambda: PureState((10 ** 5000,), [1.0]),
     lambda: random_state(1, (10 ** 5000,)),
-    lambda: state_from_json(json.dumps({"dims": [10 ** 3000] * 2, "amplitudes": [[1.0, 0.0]]})),
+    lambda: _load_file({"dims": [10 ** 3000] * 2, "amplitudes": [[1.0, 0.0]]}),
     # a dims rule failure must not print the huge entries either
     lambda: PureState((10 ** 5000, "a"), [1.0]),
     lambda: PureState((-10 ** 5000, 2), [1.0]),
@@ -347,7 +360,7 @@ def test_json_accepts_integral_float_dims():
     # finite numbers whose norm overflows: refused as norm inf, with no RuntimeWarning
     lambda: make_state((2,), [1e308, 0]),
     lambda: PureState((2,), [1e200, 1e200]),
-    lambda: state_from_json(json.dumps({"dims": [2], "amplitudes": [[1e308, 0], [0, 0]]})),
+    lambda: _load_file({"dims": [2], "amplitudes": [[1e308, 0], [0, 0]]}),
     lambda: PackedState(np.array([[1e200, 0, 0, 0], [0, 0, 0, 0]])),
     lambda: apply_local(random_state(1, (2, 2)), 1e200 * np.eye(2), 1e200 * np.eye(2)),
     lambda: LocalUnitary2(1e200, 0),
@@ -382,9 +395,10 @@ def test_json_accepts_integral_float_dims():
     lambda: schmidt_trajectory(0.5, LocalHamiltonianSpec(0.9, 0.0), ["a"]),
     # a Decimal is a numbers.Number but not a numbers.Real
     lambda: schmidt_trajectory(Decimal("0.5"), LocalHamiltonianSpec(0.9, 0.0), [0.0]),
-], ids=["ghz", "w", "unitary", "unitary-nan-a", "unitary-nan-b", "products", "packed-shape",
-        "module-action", "negative-seed", "concurrence-3xN", "equivariance-3-qubits",
-        "apply-local-left-not-square", "apply-local-right-not-square", "huge-dim-state",
+], ids=["ghz", "w", "unitary", "unitary-nan-a", "unitary-nan-b", "products", "products-1d",
+        "packed-shape", "module-action", "negative-seed", "concurrence-3xN",
+        "equivariance-3-qubits", "apply-local-left-not-square", "apply-local-right-not-square",
+        "huge-dim-state",
         "huge-dim-random", "huge-dims-json", "huge-dim-and-text", "huge-negative-dim",
         "make-huge-int", "make-text", "make-ragged",
         "state-huge-int", "state-text", "state-ragged", "make-numeric-text", "make-booleans",
@@ -433,11 +447,25 @@ UNIT = LocalUnitary2(1, 0)
     # a time grid is one-dimensional
     (lambda: schmidt_trajectory(0.5, SPEC, 1.0), DimensionMismatchError),
     (lambda: schmidt_trajectory(0.5, SPEC, [[0.0]]), DimensionMismatchError),
+    # random_unitary counts n * n entries before it draws them, and prints neither
+    (lambda: random_unitary("2", np.random.default_rng(0)), ParameterError),
+    (lambda: random_unitary(0, np.random.default_rng(0)), ParameterError),
+    (lambda: random_unitary(4097, np.random.default_rng(0)), SizeLimitError),
+    (lambda: random_unitary(10 ** 5000, np.random.default_rng(0)), SizeLimitError),
+    # numpy would read None as NaN and "1" as 1.0
+    (lambda: Quaternion(None) * Quaternion(1), ParameterError),
+    (lambda: Quaternion("1") * Quaternion("2"), ParameterError),
+    (lambda: products([[None, 0, 0, 0]], [[1, 0, 0, 0]]), DimensionMismatchError),
+    (lambda: products([[float("inf"), 0, 0, 0]], [[1, 0, 0, 0]]), DimensionMismatchError),
+    (lambda: products(np.array([[np.inf, 0, 0, 0]]), np.eye(4)), DimensionMismatchError),
 ], ids=["ghz-5000-digits", "w-5000-digits", "concurrence-5000-digits", "pack-5000-digits",
         "minors-5000-digits", "seed-none", "seed-true", "seed-list", "apply-local-text",
         "module-action-matrix", "module-action-none", "equivariance-coefficient-matrix",
         "equivariance-fiber-matrix", "propagator-text-time", "spec-booleans", "spec-huge-int",
-        "trajectory-scalar-times", "trajectory-2d-times"])
+        "trajectory-scalar-times", "trajectory-2d-times", "random-unitary-text",
+        "random-unitary-zero", "random-unitary-too-large", "random-unitary-5000-digits",
+        "quaternion-none", "quaternion-text", "products-none", "products-inf",
+        "products-inf-array"])
 def test_number_rule_refusals_raise_their_class(bad_input, error):
     with pytest.raises(error):
         bad_input()
@@ -500,13 +528,15 @@ def test_packed_rows_take_real_numbers_and_copy_an_ndarray():
 
 
 @pytest.mark.parametrize("qubits", range(1, 13))
-def test_state_json_is_byte_identical_to_per_amplitude_pairs(qubits):
+def test_state_json_is_byte_identical_to_per_amplitude_pairs(qubits, tmp_path):
     state = random_state(qubits, (2,) * qubits)
     if qubits == 1:  # signed zeros and the smallest subnormal, in both parts
         state = PureState((2,), np.array([complex(-0.0, 5e-324), complex(1.0, -0.0)]))
     per_pair = [[float(a.real), float(a.imag)] for a in state.amplitudes]
     expected = json.dumps({"dims": list(state.dims), "amplitudes": per_pair})
-    assert state_to_json(state).encode() == expected.encode()
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    assert path.read_bytes() == expected.encode()
 
 
 def _per_pair(pairs) -> np.ndarray:
@@ -520,7 +550,7 @@ def test_loaded_amplitudes_are_per_pair_complex_renormalized_bit_for_bit(qubits)
     pairs = [[a.real, a.imag] for a in amps.tolist()]
     expected = _per_pair(pairs)
     expected /= np.linalg.norm(expected)
-    loaded = state_from_json(json.dumps({"dims": [2] * qubits, "amplitudes": pairs}))
+    loaded = _load_file({"dims": [2] * qubits, "amplitudes": pairs})
     assert loaded.amplitudes.tobytes() == expected.tobytes()
 
 
@@ -528,5 +558,5 @@ def test_loader_converts_signed_zeros_subnormals_and_big_ints_as_complex_does(mo
     pairs = [[-0.0, 0.6], [0.8, -0.0], [5e-324, -5e-324], [2 ** 53 + 1, 0]]
     seen = []
     monkeypatch.setattr(states, "make_state", lambda dims, amps: seen.append(amps))
-    state_from_json(json.dumps({"dims": [2, 2], "amplitudes": pairs}))
+    _load_file({"dims": [2, 2], "amplitudes": pairs})
     assert seen[0].tobytes() == _per_pair(pairs).tobytes()

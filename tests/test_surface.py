@@ -14,8 +14,9 @@ import hopfcon
 from hopfcon import (HopfconError, LocalHamiltonianSpec, LocalUnitary2, Octonion, PackedState,
                      PureState, Quaternion, apply_local, concurrence, equivariance_error,
                      evolve_closed_form, evolve_numeric, ghz_state, make_state,
-                     minor_concurrence, pack, pauli_propagator, quaternify, random_state,
-                     right_module_action, schmidt_initial_state, schmidt_trajectory, w_state)
+                     minor_concurrence, pack, pauli_propagator, products, quaternify,
+                     random_state, random_unitary, right_module_action, schmidt_initial_state,
+                     schmidt_trajectory, w_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -78,6 +79,7 @@ STATE = random_state(1, (2, 2))
 PACKED = quaternify(STATE)
 SPEC = LocalHamiltonianSpec(0.9, 0.4)
 UNIT = LocalUnitary2(1, 0)
+RNG = np.random.default_rng(0)
 
 # every public entry point that takes a number from its caller, as (call, a real is required)
 NUMBER_SLOTS = {
@@ -110,6 +112,10 @@ NUMBER_SLOTS = {
     "right_module_action-fiber": (lambda v: right_module_action(PACKED, UNIT, v), True),
     "equivariance_error-coefficient": (lambda v: equivariance_error(STATE, v, UNIT), True),
     "equivariance_error-fiber": (lambda v: equivariance_error(STATE, UNIT, v), True),
+    "random_unitary-n": (lambda v: random_unitary(v, RNG), True),
+    "Quaternion-coefficient": (lambda v: Quaternion(v) * Quaternion(1), True),
+    "Octonion-coefficient": (lambda v: Octonion(0, 0, 0, 0, 0, 0, 0, v), True),
+    "products-row": (lambda v: products([[v, 0, 0, 0]], [[1, 0, 0, 0]]), True),
 }
 
 # (value, kind): a non-number must be refused everywhere, a non-real wherever a real is required
