@@ -23,12 +23,12 @@ from dataclasses import fields
 import numpy as np
 
 from .dynamics import LocalHamiltonianSpec, _trajectory_points
-from .errors import HopfconError
+from .errors import MAX_PAIR_ENTRIES, HopfconError, check_factors
 from .hypercomplex import ALGEBRAS
 from .oracles import generator_concurrence, minor_concurrence
 from .projection import _pair_parts, concurrence, equivariance_error, pack
-from .states import (MAX_PAIR_ENTRIES, apply_local, check_factors, ghz_state, load_state,
-                     random_local_unitary, random_state, random_unitary, w_state)
+from .states import (apply_local, ghz_state, load_state, random_local_unitary, random_state,
+                     random_unitary, w_state)
 
 SPLIT_LEFT_DIM = {"2xN": 2, "4xN": 4}
 DISCREPANCY_LIMIT = 1e-8
@@ -196,10 +196,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{message}\nTry '{self.prog} --help' for help.")
 
 
-def _number(convert, low, high=math.inf):
-    """An argparse type: convert(text), refused outside low <= value <= high (NaN too)."""
+def _number(convert, low=-math.inf, high=math.inf):
+    """An argparse type: convert(text), refused unless finite and low <= value <= high."""
     def parse(text):
         value = convert(text)  # argparse reports a ValueError as "invalid int value"
+        if not abs(value) < math.inf:  # NaN too; an int of any size compares exactly
+            raise argparse.ArgumentTypeError(f"{value} is not a finite number")
         if not low <= value <= high:
             span = f"x>={low}" if high == math.inf else f"{low}<=x<={high}"
             raise argparse.ArgumentTypeError(f"{value} is not in the range {span}")
@@ -246,10 +248,10 @@ def _build_parser() -> _Parser:
     option("--lambda", dest="lam", type=_number(float, 0.0, 1.0), required=True,
            metavar="FLOAT", help="Schmidt weight of the initial state.  [0.0<=x<=1.0]")
     for angle in ("--theta1", "--phi1"):
-        option(angle, type=float, default=0.0, metavar="FLOAT",
+        option(angle, type=_number(float), default=0.0, metavar="FLOAT",
                help="[default: %(default)s]")
     for angle in ("--theta2", "--phi2"):
-        option(angle, type=float, default=0.0, metavar="FLOAT",
+        option(angle, type=_number(float), default=0.0, metavar="FLOAT",
                help="Accepted for symmetry; the projection does not depend on it.  "
                     "[default: %(default)s]")
     option("--r", type=_number(float, 0.0), default=0.5, metavar="FLOAT",

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, as_amplitudes, as_real
 from .projection import PackedState
-from .states import PureState, _as_amplitudes, _as_real, apply_local
+from .states import PureState, apply_local
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class LocalHamiltonianSpec:
 
     def __post_init__(self):
         for name, low in (("theta", -math.inf), ("phi", -math.inf), ("r", 0.0)):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name, low))
+            object.__setattr__(self, name, as_real(getattr(self, name), name, low))
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def pauli_propagator(spec: LocalHamiltonianSpec, t: float) -> np.ndarray:
     n.sigma = [[nz, nx - i ny], [nx + i ny, -nz]] with
     n = (sin theta cos phi, sin theta sin phi, cos theta).
     """
-    t = _as_real(t, "t")
-    phase = _as_real(spec.r * t, "the phase r * t")  # r * t is inf on overflow
+    t = as_real(t, "t")
+    phase = as_real(spec.r * t, "the phase r * t")  # r * t is inf on overflow
     c, s = math.cos(phase), math.sin(phase)
     sin_theta = math.sin(spec.theta)
     nx, ny, nz = (sin_theta * math.cos(spec.phi), sin_theta * math.sin(spec.phi),
@@ -75,11 +75,11 @@ def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
     Written out term by term, independently of any matrix product, so the
     numeric propagator route can serve as a genuine cross-oracle.
     """
-    lam, t = _as_real(lam, "lam", 0.0, 1.0), _as_real(t, "t")
+    lam, t = as_real(lam, "lam", 0.0, 1.0), as_real(t, "t")
     root_lam = math.sqrt(lam)
     root_mu = math.sqrt(1.0 - lam)
-    phase1 = _as_real(spec1.r * t, "the phase r * t")
-    phase2 = _as_real(spec2.r * t, "the phase r * t")
+    phase1 = as_real(spec1.r * t, "the phase r * t")
+    phase2 = as_real(spec2.r * t, "the phase r * t")
     c1, s1 = math.cos(phase1), math.sin(phase1)
     c2, s2 = math.cos(phase2), math.sin(phase2)
     cth1, sth1 = math.cos(spec1.theta), math.sin(spec1.theta)
@@ -115,12 +115,12 @@ def schmidt_trajectory(lam: float, spec1: LocalHamiltonianSpec,
 
 def _trajectory_points(lam: float, spec1: LocalHamiltonianSpec, times):
     """schmidt_trajectory's points, each formed when asked for; bad input is refused first."""
-    lam = _as_real(lam, "lam", 0.0, 1.0)
-    times = _as_amplitudes(times, float)  # one read of the grid, no copy of a float ndarray
+    lam = as_real(lam, "lam", 0.0, 1.0)
+    times = as_amplitudes(times, float)  # one read of the grid, no copy of a float ndarray
     if times.ndim != 1:
         raise DimensionMismatchError("times must be a one-dimensional sequence of real numbers")
     t_max = float(max(times.max(initial=0.0), -times.min(initial=0.0)))  # NaN if any is NaN
-    _as_real(spec1.r * t_max, "the phase r * t")  # the largest |r t|: every phase is finite
+    as_real(spec1.r * t_max, "the phase r * t")  # the largest |r t|: every phase is finite
     weight = 2.0 * lam - 1.0
     conc = math.sqrt(lam * (1.0 - lam))
     cth, sth = math.cos(spec1.theta), math.sin(spec1.theta)
@@ -143,7 +143,7 @@ def evolve_numeric(state: PureState, spec1: LocalHamiltonianSpec,
 
 def schmidt_initial_state(lam: float) -> PureState:
     """The Schmidt-form initial state sqrt(lam)|00> + sqrt(1-lam)|11>."""
-    lam = _as_real(lam, "lam", 0.0, 1.0)
+    lam = as_real(lam, "lam", 0.0, 1.0)
     amps = np.zeros(4, dtype=complex)
     amps[0] = math.sqrt(lam)
     amps[3] = math.sqrt(1.0 - lam)

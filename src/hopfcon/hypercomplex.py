@@ -13,7 +13,10 @@ basis-product cell independently.
 Every product in the package, from one scalar to the N x N grid of a
 packed state's coefficient pairs, goes through _products(), the kernel of
 the public products(); its callers hand it rows already under the number
-rule.
+rule.  Where the elements are the caller's (products, the product of two
+elements, projection.project), _guarded_products() turns an overflow into
+a ParameterError; the packed rows of a state have unit norm and cannot
+overflow.
 
 Conventions used throughout the package:
 
@@ -29,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .states import _as_amplitudes, _as_real
+from .errors import DimensionMismatchError, ParameterError, as_amplitudes, as_real
 
 # Index triples (i, j, k) with e_i * e_j = e_k; totally antisymmetric.
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7),
@@ -68,6 +70,23 @@ def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ right
 
 
+def _guarded_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_products of finite rows, with ParameterError, not numpy's RuntimeWarning, on overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):  # invalid: inf - inf after an overflow
+            return _products(a, b)
+    except FloatingPointError as exc:
+        raise ParameterError(f"the product leaves the float range: {exc}") from exc
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x * 2**e, exact inside the float range and +-inf past it, where math.ldexp raises."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def products(a, b) -> np.ndarray:
     """Every product a_i * b_j of two stacks of coefficient rows.
 
@@ -77,16 +96,17 @@ def products(a, b) -> np.ndarray:
     structure table compute it: the first folds the table into b, the
     second contracts a's rows against the result.  A 1 x 1 call is a
     scalar product; peak memory is the d*m*n output.  Both stacks are
-    read by the number rule of states._as_amplitudes and must be finite
-    (inf * 0 in the matrix products would be NaN, with a RuntimeWarning).
+    read by the number rule of errors.as_amplitudes and must be finite
+    (inf * 0 in the matrix products would be NaN, with a RuntimeWarning);
+    a product past the float range is a ParameterError.
     """
-    a, b = _as_amplitudes(a, float), _as_amplitudes(b, float)
+    a, b = as_amplitudes(a, float), as_amplitudes(b, float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] not in _TABLE_ROWS or b.shape[1] != a.shape[1]:
         raise DimensionMismatchError("products needs two stacks of rows of 4 or 8 "
                                      f"coefficients, got shapes {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DimensionMismatchError("products needs finite coefficients")
-    return _products(a, b)
+    return _guarded_products(a, b)
 
 
 class Hypercomplex:
@@ -97,9 +117,9 @@ class Hypercomplex:
     """
 
     def __post_init__(self):
-        """Each coefficient under the number rule of states._as_real, stored as a float."""
+        """Each coefficient under the number rule of errors.as_real, stored as a float."""
         for name, value in vars(self).items():
-            object.__setattr__(self, name, _as_real(value, name))
+            object.__setattr__(self, name, as_real(value, name))
 
     def coefficients(self) -> tuple[float, ...]:
         # a frozen dataclass instance's dict holds exactly its fields, in order
@@ -113,22 +133,39 @@ class Hypercomplex:
     def norm_squared(self) -> float:
         return sum(x * x for x in self.coefficients())
 
+    def _scaled(self) -> tuple[int, list[float]]:
+        """e and the coefficients times 2**-e, with e = 0 at zero, else the largest |x| in [0.5, 1).
+
+        A power of two scales exactly: the scaled squares neither overflow nor
+        underflow where the plain ones would, and where the plain ones do
+        neither, norm and inverse keep the bits of the unscaled formulas.
+        """
+        coefficients = self.coefficients()
+        e = math.frexp(max(map(abs, coefficients)))[1]
+        return e, [math.ldexp(x, -e) for x in coefficients]
+
     def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
+        """sqrt(norm_squared()) at a power-of-two scale: inf only past the float range."""
+        e, scaled = self._scaled()
+        return _ldexp(math.sqrt(sum(x * x for x in scaled)), e)
 
     def inverse(self):
-        """Unique inverse conj(x) / |x|^2 of a nonzero element."""
-        n2 = self.norm_squared()
+        """Unique inverse conj(x) / |x|^2 of a nonzero element, at a power-of-two scale.
+
+        A subnormal element's inverse is past the float range: ParameterError.
+        """
+        e, scaled = self.conjugate()._scaled()
+        n2 = sum(x * x for x in scaled)
         if n2 == 0.0:
             raise ZeroDivisionError(f"zero {type(self).__name__.lower()} has no inverse")
-        return type(self)(*(x / n2 for x in self.conjugate().coefficients()))
+        return type(self)(*(_ldexp(x / n2, -e) for x in scaled))
 
     def __mul__(self, other):
         """The algebra product of two elements of one algebra; nothing else multiplies."""
         if not isinstance(other, type(self)):
             return NotImplemented
-        product = _products(np.array(self.coefficients(), ndmin=2),
-                            np.array(other.coefficients(), ndmin=2))
+        product = _guarded_products(np.array(self.coefficients(), ndmin=2),
+                                    np.array(other.coefficients(), ndmin=2))
         return type(self)(*product.ravel().tolist())
 
 

@@ -18,7 +18,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .states import MAX_PAIR_ENTRIES, PureState, check_size
+from .errors import MAX_PAIR_ENTRIES, check_size
+from .states import PureState
 
 SO2_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
 

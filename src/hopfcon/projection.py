@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SplitMismatchError
-from .hypercomplex import ALGEBRAS, Quaternion, _products
-from .states import (MAX_PAIR_ENTRIES, LocalUnitary2, PureState, _as_amplitudes,
-                     apply_local, check_norm, check_size)
+from .errors import (MAX_PAIR_ENTRIES, DimensionMismatchError, SplitMismatchError,
+                     as_amplitudes, check_norm, check_size)
+from .hypercomplex import ALGEBRAS, Quaternion, _guarded_products, _products
+from .states import LocalUnitary2, PureState, apply_local
 
 # Conjugation keeps e0 and negates the rest; slice to the coefficient count.
 _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
@@ -42,13 +42,13 @@ _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
 class PackedState:
     """State as N quaternion or octonion coefficients with unit total norm.
 
-    Built from real numbers under the amplitude rule of states._as_amplitudes, and
+    Built from real numbers under the amplitude rule of errors.as_amplitudes, and
     stored as a read-only copy, rows (N, d), d = 4 or 8.  check_norm applies
     PureState's tolerance, so every state PureState accepts packs.
     """
 
     def __init__(self, rows):
-        rows = _as_amplitudes(rows, float).copy()
+        rows = as_amplitudes(rows, float).copy()
         if rows.ndim != 2 or rows.shape[1] not in ALGEBRAS:
             raise DimensionMismatchError(
                 f"expected rows of 4 or 8 coefficients, got shape {rows.shape}")
@@ -127,7 +127,7 @@ def _complex_parts(grid: np.ndarray) -> np.ndarray:
 def project(a, b):
     """Stereographic projection of a coefficient pair: the complex split of a * conj(b)."""
     a_row, b_row = np.array(a.coefficients(), ndmin=2), np.array(b.coefficients(), ndmin=2)
-    grid = _products(a_row, b_row * _CONJ_SIGNS[:b_row.shape[1]])  # the row of conj(b)
+    grid = _guarded_products(a_row, b_row * _CONJ_SIGNS[:b_row.shape[1]])  # the row of conj(b)
     return _PROJECTIONS[len(grid)](*_complex_parts(grid)[0, 0].tolist())
 
 

@@ -4,14 +4,10 @@ Amplitudes are stored row-major over the ket labels, leftmost factor most
 significant: for dims (2, 2, 2) the amplitude of |ijk> sits at index
 4*i + 2*j + k.  Regrouping a multi-qubit state into a bipartition takes the
 contiguous prefix of factors as the left side and is a pure reindexing.
-check_size refuses before allocating: states above MAX_AMPLITUDES = 2**24
-(24 qubits); the pair grid above MAX_PAIR_ENTRIES = 2**22 entries (N = 2048)
-and the oracle sum above as many column pairs (N = 2896).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -22,97 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, NormalizationError, ParameterError,
-                     SizeLimitError, SplitMismatchError)
-
-NORM_TOLERANCE = 1e-6
-MAX_AMPLITUDES = 2 ** 24
-MAX_PAIR_ENTRIES = 2 ** 22
-
-
-def check_size(count: int, limit: int, what: str) -> None:
-    """Raise SizeLimitError, before anything is allocated, if count exceeds limit."""
-    if count > limit:
-        raise SizeLimitError(f"{what} would hold {count} entries, above the limit of {limit}")
-
-
-def check_factors(m: int, what: str) -> None:
-    """check_size of m factors of dimension >= 2 against MAX_AMPLITUDES; 2**m is never formed."""
-    if m > math.log2(MAX_AMPLITUDES):  # the message leaves m out: str() refuses 4300 digits
-        raise SizeLimitError(f"{what} has too many factors: it would hold more entries than "
-                             f"the limit of {MAX_AMPLITUDES}")
-
-
-def check_norm(norm: float, what: str) -> None:
-    """Raise NormalizationError unless norm is within NORM_TOLERANCE of 1."""
-    if not abs(norm - 1.0) <= NORM_TOLERANCE:  # also rejects NaN
-        raise NormalizationError(f"{what} norm {norm} deviates from 1 by more than "
-                                 f"{NORM_TOLERANCE}")
-
-
-def check_dims(dims) -> tuple[int, ...]:
-    """Dims as a tuple of ints; DimensionMismatchError unless one or more integers >= 2.
-
-    A dim above MAX_AMPLITUDES raises SizeLimitError first, and no message
-    prints the given dims or their count: str() refuses ints past 4300 digits.
-    """
-    try:
-        given = tuple(dims)
-        checked = tuple(int(d) for d in given if _is_number(type(d), numbers.Real))
-    except (TypeError, ValueError, OverflowError):  # not a sequence of finite numbers
-        given, checked = None, ()
-    if checked and max(checked) > MAX_AMPLITUDES:
-        raise SizeLimitError(f"a factor of dimension above {MAX_AMPLITUDES} would hold more "
-                             f"than {MAX_AMPLITUDES} amplitudes")
-    if not checked or checked != given or min(checked) < 2:  # 2.0 passes, 2.5 and "2" do not
-        raise DimensionMismatchError("dims must be one or more integers >= 2")
-    return checked
-
-
-@functools.lru_cache  # issubclass on an ABC is slow next to a lookup; a process meets few types
-def _is_number(value_type: type, kind=numbers.Number) -> bool:
-    """The number rule's type test: a subclass of kind, but neither bool nor np.timedelta64."""
-    return issubclass(value_type, kind) and value_type not in (bool, np.timedelta64)
-
-
-def _as_real(value, what: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """The number rule for one real: value as a finite float in [low, high], else ParameterError."""
-    try:
-        number = float(value) if _is_number(type(value), numbers.Real) else math.nan
-    except OverflowError:  # an int or a Fraction past the float range
-        number = math.nan
-    if not (math.isfinite(number) and low <= number <= high):
-        limits = "" if (low, high) == (-math.inf, math.inf) else f" in [{low}, {high}]"
-        raise ParameterError(f"{what} must be a finite real number{limits}")
-    return number
-
-
-def _as_amplitudes(amplitudes, dtype=complex) -> np.ndarray:
-    """Amplitudes as an array of dtype; DimensionMismatchError for anything that does not convert.
-
-    The number rule for arrays, for make_state, PureState, state files, LocalUnitary2,
-    apply_local's matrices and, with dtype float, PackedState's rows, the rows of
-    products and the dynamics' times:
-    each element's type passes _is_number (as a numbers.Real for float), or a non-object
-    array's dtype is a numpy number kind.  So text, bytes, None, booleans and durations,
-    which numpy would convert, are refused, as are a ragged nesting and an int too large for
-    a float.  A list or tuple is read as objects; a numeric ndarray of dtype is neither
-    scanned nor copied.  The message never prints the input, which may be huge.
-    """
-    try:
-        given = np.asarray(amplitudes, dtype=object if isinstance(amplitudes, (list, tuple))
-                           else None)
-        if given.dtype != object:  # numpy's own number types, timedelta64 aside, by kind
-            numbers_only = given.dtype.kind in ("iuf" if dtype is float else "iufc")
-        else:
-            kind = numbers.Real if dtype is float else numbers.Number
-            numbers_only = all(_is_number(t, kind) for t in set(map(type, given.ravel())))
-        if not numbers_only:
-            raise TypeError(f"only {'real ' if dtype is float else ''}numbers other than "
-                            "booleans and durations are accepted")
-        return given.astype(dtype, copy=False)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DimensionMismatchError(f"expected an array of numbers: {exc}") from exc
+from .errors import (MAX_AMPLITUDES, DimensionMismatchError, NormalizationError,
+                     ParameterError, SizeLimitError, SplitMismatchError, as_amplitudes,
+                     check_dims, check_factors, check_norm, check_size, is_number)
 
 
 @dataclass(frozen=True)
@@ -125,7 +33,7 @@ class PureState:
     def __post_init__(self):
         """The one check of a state: integer dims >= 2, one amplitude per ket, unit norm."""
         dims = check_dims(self.dims)
-        amps = _as_amplitudes(self.amplitudes)
+        amps = as_amplitudes(self.amplitudes)
         if amps.flags.writeable or not amps.flags.owndata:  # an owned, read-only array is kept
             amps = amps.copy()
             amps.flags.writeable = False
@@ -151,7 +59,7 @@ class PureState:
         or more stored factors that leaves at least one factor on the right.
         """
         prefixes = itertools.accumulate(self.dims[:-1], operator.mul)
-        if not _is_number(type(left_dim), numbers.Integral) or left_dim not in prefixes:
+        if not is_number(type(left_dim), numbers.Integral) or left_dim not in prefixes:
             raise SplitMismatchError(  # left_dim is left out: str() refuses 4300 digits
                 f"cannot split dims {self.dims} there: the left dimension must be the product "
                 "of a prefix of one or more factors that leaves a nontrivial right factor")
@@ -169,7 +77,7 @@ class LocalUnitary2:
     b: complex
 
     def __post_init__(self):
-        amplitudes = _as_amplitudes((self.a, self.b))
+        amplitudes = as_amplitudes((self.a, self.b))
         if amplitudes.shape != (2,):
             raise DimensionMismatchError(f"a and b must be single numbers, got shape "
                                          f"{amplitudes.shape}")
@@ -191,7 +99,7 @@ def make_state(dims, amplitudes) -> PureState:
     The input norm must already be within NORM_TOLERANCE of 1; anything else,
     the zero vector included, raises NormalizationError before the division.
     """
-    amps = _as_amplitudes(amplitudes).ravel()
+    amps = as_amplitudes(amplitudes).ravel()
     with np.errstate(over="ignore"):  # an overflowing norm is inf, refused by check_norm
         norm = float(np.linalg.norm(amps))
     check_norm(norm, "state")  # PureState checks dims and the amplitude count
@@ -202,7 +110,7 @@ def make_state(dims, amplitudes) -> PureState:
 
 def ghz_state(m: int) -> PureState:
     """m-qubit state (|0...0> + |1...1>)/sqrt(2)."""
-    if not _is_number(type(m), numbers.Integral) or m < 2:
+    if not is_number(type(m), numbers.Integral) or m < 2:
         raise DimensionMismatchError("ghz_state requires an integer of at least 2 qubits")
     check_factors(m, "the GHZ state")
     amps = np.zeros(2 ** m, dtype=complex)
@@ -212,7 +120,7 @@ def ghz_state(m: int) -> PureState:
 
 def w_state(m: int) -> PureState:
     """m-qubit state with equal weight 1/sqrt(m) on every single-excitation ket."""
-    if not _is_number(type(m), numbers.Integral) or m < 2:
+    if not is_number(type(m), numbers.Integral) or m < 2:
         raise DimensionMismatchError("w_state requires an integer of at least 2 qubits")
     check_factors(m, "the W state")
     amps = np.zeros(2 ** m, dtype=complex)
@@ -223,7 +131,7 @@ def w_state(m: int) -> PureState:
 
 def random_state(seed: int, dims) -> PureState:
     """Haar-like random pure state: i.i.d. complex normal amplitudes, normalized."""
-    if not _is_number(type(seed), numbers.Integral) or seed < 0:  # None: a new state each call
+    if not is_number(type(seed), numbers.Integral) or seed < 0:  # None: a new state each call
         raise ParameterError("seed must be a non-negative integer")
     rng = np.random.default_rng(seed)
     dims = check_dims(dims)  # before counting, so int() never rounds a bad dim
@@ -240,8 +148,8 @@ def apply_local(state: PureState, u_left, u_right) -> PureState:
     u_left acts on the contiguous prefix of factors matching its dimension,
     u_right on the rest; either may be a LocalUnitary2 or a square array.
     """
-    u_left = u_left.matrix if isinstance(u_left, LocalUnitary2) else _as_amplitudes(u_left)
-    u_right = u_right.matrix if isinstance(u_right, LocalUnitary2) else _as_amplitudes(u_right)
+    u_left = u_left.matrix if isinstance(u_left, LocalUnitary2) else as_amplitudes(u_left)
+    u_right = u_right.matrix if isinstance(u_right, LocalUnitary2) else as_amplitudes(u_right)
     if u_left.ndim != 2 or u_left.shape[0] != u_left.shape[1]:
         raise DimensionMismatchError("u_left must be a square matrix")
     if u_right.ndim != 2 or u_right.shape[0] != u_right.shape[1]:
@@ -267,7 +175,7 @@ def random_local_unitary(rng: np.random.Generator) -> LocalUnitary2:
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed n x n unitary via QR of a complex Gaussian matrix."""
-    if not _is_number(type(n), numbers.Integral) or n < 1:
+    if not is_number(type(n), numbers.Integral) or n < 1:
         raise ParameterError("n must be a positive integer")
     if int(n) ** 2 > MAX_AMPLITUDES:  # the message leaves n out: str() refuses 4300 digits
         raise SizeLimitError(f"a random unitary would hold more than {MAX_AMPLITUDES} entries")
@@ -293,7 +201,7 @@ def load_state(path) -> PureState:
     try:
         payload = json.loads(data)  # ValueError also for bad bytes and ints past 4300 digits
         dims = payload["dims"]
-        pairs = _as_amplitudes(payload["amplitudes"], float)  # JSON holds no complex numbers
+        pairs = as_amplitudes(payload["amplitudes"], float)  # JSON holds no complex numbers
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise ValueError(f"got shape {pairs.shape}")
     except (ValueError, KeyError, TypeError, RecursionError) as exc:

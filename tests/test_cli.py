@@ -410,6 +410,17 @@ def test_evolve_rejects_non_finite(tmp_path, capsys, option, value):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("option", ["--theta1", "--phi1", "--theta2", "--phi2", "--r"])
+def test_evolve_non_finite_option_is_named(tmp_path, capsys, option, value):
+    out_path = tmp_path / "traj.csv"
+    code, _, err = run_cli(capsys, "evolve", "--lambda", "0.5", option, value, "--t-max", "5",
+                           "--steps", "6", "--out", str(out_path))
+    assert code == 1
+    assert err.startswith(f"error: argument {option}: {value} is not a finite number\n")
+    assert not out_path.exists()
+
+
 def test_evolve_lambda_nan_names_the_option(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "evolve", "--lambda", "nan", "--t-max", "1",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hopfcon import Octonion, Quaternion, oct_mul, quat_mul
+from hopfcon import Octonion, ParameterError, Quaternion, oct_mul, project, quat_mul
 from hopfcon.hypercomplex import OCTONION_TABLE, QUATERNION_TABLE, products
 
 from reference_tables import (OCTONION_TABLE_TEXT, QUATERNION_TABLE_TEXT,
@@ -181,6 +181,38 @@ def test_quaternion_inverse():
     assert q_close(quat_mul(q, q.inverse()), QUAT_BASIS[0])
     with pytest.raises(ZeroDivisionError):
         Quaternion().inverse()
+
+
+def test_norm_and_inverse_hold_outside_the_range_of_a_square():
+    assert Quaternion(1e200).norm() == 1e200
+    assert Quaternion(1e-170).norm() == 1e-170
+    assert Quaternion(1e200).inverse() == Quaternion(1e-200)
+    assert Quaternion(1e-200).inverse() == Quaternion(1e200)
+    assert Octonion(1.5e308, 1.5e308).norm() == math.inf  # past the float range, as math.hypot
+    with pytest.raises(ParameterError):  # 1 / 5e-324 is past the float range
+        Quaternion(5e-324).inverse()
+
+
+def test_norm_and_inverse_keep_their_bits_on_ordinary_elements():
+    q = Quaternion(1, 2, -1, 0.5)
+    assert q.norm() == 2.5
+    assert q.inverse().coefficients() == (0.16, -0.32, 0.16, -0.08)
+    o = Octonion(0.3, -1.7, 2.5, 0.0, -0.0, 1e-3, 4.0, -2.25)
+    assert o.norm() == 5.503862371099045
+    assert o.inverse().coefficients() == (
+        0.009903441118975287, 0.05611949967419329, -0.08252867599146071, -0.0, 0.0,
+        -3.301147039658429e-05, -0.13204588158633715, 0.07427580839231465)
+
+
+@pytest.mark.parametrize("overflow", [
+    lambda: Quaternion(1e200) * Quaternion(1e200),
+    lambda: Octonion(1e200, 1e200) * Octonion(1e200, 1e200),
+    lambda: products([[1e200, 0, 0, 0]], [[1e200, 0, 0, 0]]),
+    lambda: project(Quaternion(1e200), Quaternion(1e200)),
+], ids=["quaternion", "octonion", "products", "project"])
+def test_an_overflowing_product_is_a_parameter_error_not_a_warning(overflow):
+    with pytest.raises(ParameterError, match="float range"):
+        overflow()
 
 
 def test_norm_zero_iff_zero():

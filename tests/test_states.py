@@ -17,7 +17,7 @@ from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec,
                      quaternify, random_local_unitary, random_state, random_unitary,
                      right_module_action, save_state, schmidt_trajectory, w_state)
 from hopfcon import states
-from hopfcon.states import _as_amplitudes
+from hopfcon.errors import as_amplitudes
 
 SQRT_HALF = 1 / math.sqrt(2)
 
@@ -515,9 +515,9 @@ def test_non_amplitudes_raise_dimension_mismatch(bad_input):
 
 def test_numbers_convert_and_a_complex_ndarray_is_not_copied():
     amps = np.array([0.6, 0.8j])
-    assert _as_amplitudes(amps) is amps
-    assert _as_amplitudes([0, 1.5, 10 ** 20, 2j]).tolist() == [0, 1.5, 1e20, 2j]
-    assert _as_amplitudes(((1, 0), (0, 1))).shape == (2, 2)
+    assert as_amplitudes(amps) is amps
+    assert as_amplitudes([0, 1.5, 10 ** 20, 2j]).tolist() == [0, 1.5, 1e20, 2j]
+    assert as_amplitudes(((1, 0), (0, 1))).shape == (2, 2)
 
 
 def test_packed_rows_take_real_numbers_and_copy_an_ndarray():

@@ -45,6 +45,23 @@ def test_every_name_defined_in_src_is_used_outside_its_def_line():
     assert unused == []
 
 
+# Each module imports from the package only modules earlier in this order.
+LAYERS = ["errors", "hypercomplex", "states", "projection", "oracles", "dynamics", "cli"]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_modules_import_only_lower_layers(module):
+    tree = ast.parse((ROOT / "src" / "hopfcon" / f"{module}.py").read_text())
+    imported = {alias.name if node.module is None else node.module.split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    assert imported <= set(LAYERS[:LAYERS.index(module)])
+
+
+def test_the_layers_are_every_module():
+    assert {path.stem for path in SOURCES} - {"__init__", "__main__"} == set(LAYERS)
+
+
 def test_every_error_class_is_raised_in_src_and_exported():
     # a class with no raiser of its own is a second name for a condition another class reports
     errors = ast.parse((ROOT / "src" / "hopfcon" / "errors.py").read_text())
