@@ -117,7 +117,6 @@ def cmd_evolve(lam, theta1, phi1, theta2, phi2, r, t_max, steps, out):
     if not 0 < t_max < math.inf:
         raise UsageError("--t-max must be positive and finite")
     spec1 = LocalHamiltonianSpec(theta1, phi1, r)
-    LocalHamiltonianSpec(theta2, phi2, r)  # validates the unused angles too
     points = _trajectory_points(lam, spec1, np.linspace(0.0, t_max, steps))  # refuses bad input now
     try:
         with open(out, "w", newline="") as handle:

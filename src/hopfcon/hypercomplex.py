@@ -130,9 +130,6 @@ class Hypercomplex:
         x0, *imaginary = self.coefficients()
         return type(self)(x0, *(-x for x in imaginary))
 
-    def norm_squared(self) -> float:
-        return sum(x * x for x in self.coefficients())
-
     def _scaled(self) -> tuple[int, list[float]]:
         """e and the coefficients times 2**-e, with e = 0 at zero, else the largest |x| in [0.5, 1).
 
@@ -145,7 +142,7 @@ class Hypercomplex:
         return e, [math.ldexp(x, -e) for x in coefficients]
 
     def norm(self) -> float:
-        """sqrt(norm_squared()) at a power-of-two scale: inf only past the float range."""
+        """The Euclidean norm, at a power-of-two scale: inf only past the float range."""
         e, scaled = self._scaled()
         return _ldexp(math.sqrt(sum(x * x for x in scaled)), e)
 

@@ -1,14 +1,14 @@
 """Independent ground-truth concurrence computations.
 
-Two routes that never touch the hypercomplex algebra: the sum of squared
-2x2 minors of the amplitude matrix (any bipartition) and the antisymmetric
-generator form (2 x N bipartitions).  Both are used to validate the
-projection pipeline.  Each sums |T_kl|^2 over k < l of an antisymmetric
-N x N term matrix T, formed a row slab at a time (_upper_sum): O(N^2) time
-and O(N) memory.  The oracles share only that summation; their entry
-formulas differ, and neither calls the other.  _upper_sum holds the one cap,
-which bounds time, not memory: at most MAX_PAIR_ENTRIES column pairs
-N(N-1)/2, so N <= 2896.
+Two routes that never touch the hypercomplex algebra: the sum of squared 2x2
+minors of the amplitude matrix (any bipartition) and the antisymmetric
+generator form (2 x N bipartitions).  Each sums |T_kl|^2 over k < l of an
+antisymmetric N x N term matrix T, formed a row slab at a time (_upper_sum):
+O(N^2) time and O(N) memory.  The entry formulas differ in code, not in value:
+on a 2 x N split with rows a, b, the generator T is 2 conj(a b^T - b a^T), so
+the oracles' agreement checks code, and only the hopf route's agreement with
+them checks the projection.  _upper_sum holds the one cap, which bounds time,
+not memory: at most MAX_PAIR_ENTRIES column pairs N(N-1)/2, so N <= 2896.
 """
 
 from __future__ import annotations

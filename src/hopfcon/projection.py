@@ -125,7 +125,10 @@ def _complex_parts(grid: np.ndarray) -> np.ndarray:
 
 
 def project(a, b):
-    """Stereographic projection of a coefficient pair: the complex split of a * conj(b)."""
+    """Stereographic projection a * conj(b) of two elements of one algebra, as its complex split."""
+    if type(a) not in ALGEBRAS.values() or type(b) is not type(a):
+        raise DimensionMismatchError("project takes two elements of one algebra, got "
+                                     f"{type(a).__name__} and {type(b).__name__}")
     a_row, b_row = np.array(a.coefficients(), ndmin=2), np.array(b.coefficients(), ndmin=2)
     grid = _guarded_products(a_row, b_row * _CONJ_SIGNS[:b_row.shape[1]])  # the row of conj(b)
     return _PROJECTIONS[len(grid)](*_complex_parts(grid)[0, 0].tolist())

@@ -52,8 +52,8 @@ def transformed_schmidt_part(qstate, coefficient_unitary) -> complex:
     q0, q1 = qstate.coefficients
     schmidt = project(q0, q1).schmidt
     a, b = coefficient_unitary.a, coefficient_unitary.b
-    return ((q1.norm_squared() - q0.norm_squared()) * a * b
-            + a * a * schmidt - b * b * np.conj(schmidt))
+    n0, n1 = (sum(x * x for x in q.coefficients()) for q in (q0, q1))
+    return (n1 - n0) * a * b + a * a * schmidt - b * b * np.conj(schmidt)
 
 
 def so_n_generators(n: int) -> list[np.ndarray]:

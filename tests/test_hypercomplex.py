@@ -103,7 +103,7 @@ def test_quat_conj_examples():
 @given(quaternions)
 def test_quat_conj_times_self_is_norm(q):
     product = quat_mul(q, q.conjugate())
-    assert product == Quaternion(q.norm_squared(), 0, 0, 0)
+    assert product == Quaternion(sum(x * x for x in q.coefficients()), 0, 0, 0)
 
 
 @given(quaternions, quaternions)
@@ -144,12 +144,12 @@ def test_oct_conj_and_inverse_examples():
 @given(octonions)
 def test_oct_conj_times_self_is_norm(o):
     product = oct_mul(o, o.conjugate())
-    assert o_close(product, Octonion(o.norm_squared()), tol=1e-12)
+    assert o_close(product, Octonion(sum(x * x for x in o.coefficients())), tol=1e-12)
 
 
 @given(octonions)
 def test_oct_inverse_property(o):
-    if o.norm_squared() < 1e-6:
+    if sum(x * x for x in o.coefficients()) < 1e-6:
         return
     assert o_close(oct_mul(o, o.inverse()), OCT_BASIS[0], tol=1e-12)
 
@@ -216,10 +216,10 @@ def test_an_overflowing_product_is_a_parameter_error_not_a_warning(overflow):
 
 
 def test_norm_zero_iff_zero():
-    assert Quaternion().norm_squared() == 0
-    assert Octonion().norm_squared() == 0
-    assert Quaternion(1e-8, 0, 0, 0).norm_squared() > 0
-    assert Octonion(*([1e-8] * 8)).norm_squared() > 0
+    assert Quaternion().norm() == 0
+    assert Octonion().norm() == 0
+    assert Quaternion(1e-8, 0, 0, 0).norm() > 0
+    assert Octonion(*([1e-8] * 8)).norm() > 0
 
 
 def test_coefficients_are_stored_as_floats():

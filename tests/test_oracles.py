@@ -105,6 +105,20 @@ def test_generator_concurrence_matches_minor_oracle():
             assert diff < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 17, 64])
+def test_generator_terms_are_twice_the_conjugate_minors(n):
+    # the oracles sum the same |T_kl|^2 on 2xN, up to the factor 4: their agreement checks
+    # their code, and only agreement with the hopf route checks the projection
+    rng = np.random.default_rng(100 + n)
+    for _ in range(10):
+        matrix = random_state(int(rng.integers(2 ** 31)), (2, n)).split_matrix(2)
+        a, b = matrix
+        x = SO2_GENERATOR @ np.conj(matrix)
+        generator_terms = np.conj(matrix).T @ x - x.T @ np.conj(matrix)
+        minors = np.outer(a, b) - np.outer(b, a)
+        assert np.abs(generator_terms - 2 * np.conj(minors)).max() <= 1e-15
+
+
 def test_minor_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(4)
     for n1, n2 in ((2, 4), (4, 3), (3, 5)):

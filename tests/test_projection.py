@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfcon
-from hopfcon import (LocalUnitary2, NormalizationError, OctProjection, Octonion,
-                     PackedState, PureState, QuatProjection, Quaternion,
+from hopfcon import (DimensionMismatchError, LocalUnitary2, NormalizationError,
+                     OctProjection, Octonion, PackedState, PureState, QuatProjection, Quaternion,
                      SizeLimitError, SplitMismatchError, apply_local, concurrence,
                      equivariance_error, generator_concurrence, ghz_state, make_state,
                      minor_concurrence, oct_concurrence, oct_mul, oct_pair_projections,
@@ -168,6 +168,15 @@ def test_oct_project_ghz3_pair():
 def test_oct_project_zero_pair():
     proj = project(Octonion(1), Octonion())
     assert proj.s0 == proj.s1 == proj.s2 == proj.s3 == 0
+
+
+@pytest.mark.parametrize("a, b", [
+    (Quaternion(1), Octonion(1)), (Octonion(1), Quaternion(1)),
+    ((1.0, 0.0, 0.0, 0.0), Quaternion(1)), (Quaternion(1), np.array([1.0, 0.0, 0.0, 0.0])),
+], ids=["quaternion-octonion", "octonion-quaternion", "tuple", "ndarray"])
+def test_project_takes_two_elements_of_one_algebra(a, b):
+    with pytest.raises(DimensionMismatchError, match="two elements of one algebra"):
+        project(a, b)
 
 
 def test_oct_project_separable_vanishes():
