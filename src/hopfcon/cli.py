@@ -59,6 +59,8 @@ def _state_from_options(state_file, ghz, w, random_seed, qubits):
     sources = sum(x is not None for x in (state_file, ghz, w, random_seed))
     if sources != 1:
         raise UsageError("provide exactly one of --state, --ghz, --w, --random")
+    if qubits is not None and random_seed is None:
+        raise UsageError("--qubits applies only to --random")
     if state_file is not None:
         try:
             return load_state(state_file)
@@ -68,6 +70,7 @@ def _state_from_options(state_file, ghz, w, random_seed, qubits):
         return ghz_state(ghz)
     if w is not None:
         return w_state(w)
+    qubits = 2 if qubits is None else qubits  # --random's default
     check_factors(qubits, "the random state")  # before (2,) * qubits is built
     return random_state(random_seed, (2,) * qubits)
 
@@ -233,8 +236,8 @@ def _build_parser() -> _Parser:
                help="Build the m-qubit W state.  [x>=2]")
         option("--random", dest="random_seed", type=_number(int, 0), metavar="INTEGER",
                help="Build a seeded random state (see --qubits).  [x>=0]")
-        option("--qubits", type=_number(int, 2), default=2, metavar="INTEGER",
-               help="Qubit count for --random.  [default: %(default)s; x>=2]")
+        option("--qubits", type=_number(int, 2), metavar="INTEGER",
+               help="Qubit count for --random only.  [default: 2; x>=2]")
         option("--split", choices=sorted(SPLIT_LEFT_DIM), required=True,
                help="Bipartition: first qubit vs rest (2xN) or first two vs rest (4xN).")
 
@@ -277,12 +280,14 @@ def _attach_values(argv) -> list[str]:
 
     Every option but --help takes one value, the next word even when it starts
     with '-' (``--theta1 -1e-3``, ``--out -a.csv``); argparse alone would read
-    such a word as an option.
+    such a word as an option.  A bare ``--`` stays apart, so argparse reports
+    the option's missing value: attached, it would strip the ``--`` and hand the
+    option an empty list that its type never checks.
     """
     attached = []
     for word in argv:
         option = attached[-1] if attached else ""
-        if (word.startswith("-") and option.startswith("--")
+        if (word.startswith("-") and word != "--" and option.startswith("--")
                 and option not in ("--", "--help") and "=" not in option):
             attached[-1] = f"{option}={word}"
         else:

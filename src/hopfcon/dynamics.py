@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, as_amplitudes, as_real
+from .errors import DimensionMismatchError, as_amplitudes, as_real, check_type
 from .projection import PackedState
 from .states import PureState, apply_local
 
@@ -58,6 +58,7 @@ def pauli_propagator(spec: LocalHamiltonianSpec, t: float) -> np.ndarray:
     n = (sin theta cos phi, sin theta sin phi, cos theta).
     """
     t = as_real(t, "t")
+    check_type(spec, LocalHamiltonianSpec, "pauli_propagator")
     phase = as_real(spec.r * t, "the phase r * t")  # r * t is inf on overflow
     c, s = math.cos(phase), math.sin(phase)
     sin_theta = math.sin(spec.theta)
@@ -76,6 +77,8 @@ def evolve_closed_form(lam: float, spec1: LocalHamiltonianSpec,
     numeric propagator route can serve as a genuine cross-oracle.
     """
     lam, t = as_real(lam, "lam", 0.0, 1.0), as_real(t, "t")
+    for spec in (spec1, spec2):
+        check_type(spec, LocalHamiltonianSpec, "evolve_closed_form")
     root_lam = math.sqrt(lam)
     root_mu = math.sqrt(1.0 - lam)
     phase1 = as_real(spec1.r * t, "the phase r * t")
@@ -120,6 +123,7 @@ def _trajectory_points(lam: float, spec1: LocalHamiltonianSpec, times):
     if times.ndim != 1:
         raise DimensionMismatchError("times must be a one-dimensional sequence of real numbers")
     t_max = float(max(times.max(initial=0.0), -times.min(initial=0.0)))  # NaN if any is NaN
+    check_type(spec1, LocalHamiltonianSpec, "schmidt_trajectory")
     as_real(spec1.r * t_max, "the phase r * t")  # the largest |r t|: every phase is finite
     weight = 2.0 * lam - 1.0
     conc = math.sqrt(lam * (1.0 - lam))

@@ -81,6 +81,16 @@ def check_dims(dims) -> tuple[int, ...]:
     return checked
 
 
+def check_type(value, kind: type, what: str):
+    """The object rule: value if it is a kind, else DimensionMismatchError naming what and its type.
+
+    The message leaves value out, since an object may be huge.
+    """
+    if not isinstance(value, kind):
+        raise DimensionMismatchError(f"{what} takes a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 @functools.lru_cache  # issubclass on an ABC is slow next to a lookup; a process meets few types
 def is_number(value_type: type, kind=numbers.Number) -> bool:
     """The number rule's type test: a subclass of kind, but neither bool nor np.timedelta64."""

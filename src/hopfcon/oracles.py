@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import MAX_PAIR_ENTRIES, check_size
+from .errors import MAX_PAIR_ENTRIES, check_size, check_type
 from .states import PureState
 
 SO2_GENERATOR = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -53,7 +53,7 @@ def minor_concurrence(state: PureState, left_dim: int) -> float:
     antisymmetric minors T = a b^T - b a^T, each counted once above the
     diagonal by _upper_sum.
     """
-    matrix = state.split_matrix(left_dim)
+    matrix = check_type(state, PureState, "minor_concurrence").split_matrix(left_dim)
     n = matrix.shape[1]
     total = 0.0
     for a, b in combinations(matrix, 2):
@@ -77,7 +77,7 @@ def generator_concurrence(state: PureState) -> float:
     Levi-Civita sign s = +-1 is dropped, as the term enters only as |.|^2,
     and _upper_sum adds |T_kl|^2 over the generators' axes k < l.
     """
-    matrix = state.split_matrix(2)
+    matrix = check_type(state, PureState, "generator_concurrence").split_matrix(2)
     n = matrix.shape[1]
     conj = np.conj(matrix)
     x = SO2_GENERATOR @ conj

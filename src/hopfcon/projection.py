@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MAX_PAIR_ENTRIES, DimensionMismatchError, SplitMismatchError,
-                     as_amplitudes, check_norm, check_size)
+                     as_amplitudes, check_norm, check_size, check_type)
 from .hypercomplex import ALGEBRAS, Quaternion, _guarded_products, _products
 from .states import LocalUnitary2, PureState, apply_local
 
@@ -116,7 +116,7 @@ def pack(state: PureState, left_dim: int) -> PackedState:
     2x2 minors.  Row j holds the real and imaginary parts of column j,
     interleaved.
     """
-    return PackedState(_rows(state.split_matrix(left_dim)))
+    return PackedState(_rows(check_type(state, PureState, "pack").split_matrix(left_dim)))
 
 
 def _complex_parts(grid: np.ndarray) -> np.ndarray:
@@ -148,7 +148,7 @@ def _pair_parts(packed: PackedState):
 
 def pair_projections(packed: PackedState):
     """Projection of every coefficient pair (j, k), j < k, in lexicographic order."""
-    projection, parts = _pair_parts(packed)
+    projection, parts = _pair_parts(check_type(packed, PackedState, "pair_projections"))
     # one row of Python numbers at a time, so peak memory stays near the result's
     return [(j, k, projection(*p)) for j in range(len(packed))
             for k, p in enumerate(parts[j, j + 1:].tolist(), start=j + 1)]
@@ -163,7 +163,7 @@ def concurrence(state: PureState, left_dim: int) -> float:
     M.  Lambda^2(M) = Lambda^2(R^T) Lambda^2(Q^T) and Q^T has orthonormal rows,
     so the sum (not each pair) equals that over M's N columns.  O(d^2 N) time.
     """
-    matrix = state.split_matrix(left_dim)
+    matrix = check_type(state, PureState, "concurrence").split_matrix(left_dim)
     if matrix.shape[1] > left_dim:
         matrix = np.linalg.qr(matrix.T, mode="r").T
     hyper = _pair_grid(_rows(matrix))[2:]
@@ -215,10 +215,11 @@ def right_module_action(qstate: PackedState, coefficient_unitary: LocalUnitary2,
     multiplication by the unit quaternion a' - conj(b')*e2, which is
     exactly the SU(2) matrix of fiber_unitary on the packed qubit.
     """
+    check_type(qstate, PackedState, "right_module_action")
     if len(qstate) != 2 or qstate.rows.shape[1] != 4:
         raise DimensionMismatchError("right_module_action expects 2 quaternion coefficients")
-    if not all(isinstance(u, LocalUnitary2) for u in (coefficient_unitary, fiber_unitary)):
-        raise DimensionMismatchError("right_module_action takes two LocalUnitary2 elements")
+    for unitary in (coefficient_unitary, fiber_unitary):
+        check_type(unitary, LocalUnitary2, "right_module_action")
     mixed = coefficient_unitary.matrix @ qstate.rows.view(complex)
     scalar = np.array([[fiber_unitary.a, -fiber_unitary.b.conjugate()]]).view(float)
     return PackedState(_products(mixed.view(float), scalar)[:, :, 0].T)
@@ -234,7 +235,7 @@ def equivariance_error(state: PureState, coefficient_unitary: LocalUnitary2,
     right_module_action.  Packing and local action commute when the gap
     is zero.
     """
-    if state.total_dim != 4:
+    if check_type(state, PureState, "equivariance_error").total_dim != 4:
         raise SplitMismatchError("the equivariance check expects a two-qubit state")
     evolved = apply_local(state, fiber_unitary, coefficient_unitary)
     moved = right_module_action(quaternify(state), coefficient_unitary, fiber_unitary)

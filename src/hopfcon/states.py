@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import (MAX_AMPLITUDES, DimensionMismatchError, NormalizationError,
                      ParameterError, SizeLimitError, SplitMismatchError, as_amplitudes,
-                     check_dims, check_factors, check_norm, check_size, is_number)
+                     check_dims, check_factors, check_norm, check_size, check_type, is_number)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def apply_local(state: PureState, u_left, u_right) -> PureState:
         raise DimensionMismatchError("u_left must be a square matrix")
     if u_right.ndim != 2 or u_right.shape[0] != u_right.shape[1]:
         raise DimensionMismatchError("u_right must be a square matrix")
-    matrix = state.split_matrix(u_left.shape[0])
+    matrix = check_type(state, PureState, "apply_local").split_matrix(u_left.shape[0])
     if u_right.shape[0] != matrix.shape[1]:
         raise DimensionMismatchError(
             f"u_right of dimension {u_right.shape[0]} does not match right factor "
@@ -166,7 +166,7 @@ def apply_local(state: PureState, u_left, u_right) -> PureState:
 
 def random_local_unitary(rng: np.random.Generator) -> LocalUnitary2:
     """SU(2) element from two normalized complex Gaussians."""
-    v = rng.standard_normal(4)
+    v = check_type(rng, np.random.Generator, "random_local_unitary").standard_normal(4)
     a = complex(v[0], v[1])
     b = complex(v[2], v[3])
     scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
@@ -179,6 +179,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
         raise ParameterError("n must be a positive integer")
     if int(n) ** 2 > MAX_AMPLITUDES:  # the message leaves n out: str() refuses 4300 digits
         raise SizeLimitError(f"a random unitary would hold more than {MAX_AMPLITUDES} entries")
+    check_type(rng, np.random.Generator, "random_unitary")
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
     phases = np.diag(r).copy()
@@ -189,7 +190,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 def save_state(state: PureState, path) -> None:
     """Write a state file: {"dims": [...], "amplitudes": [[re, im], ...]}."""
     payload = {
-        "dims": list(state.dims),
+        "dims": list(check_type(state, PureState, "save_state").dims),
         "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),  # [re, im] pairs
     }
     Path(path).write_text(json.dumps(payload))

@@ -332,7 +332,7 @@ def test_project_peak_memory_stays_near_the_pair_grid():
         tracemalloc.stop()
     assert code == 0
     assert (sink.records, sink.last[-1:]) == (n * (n - 1) // 2, "\n")
-    assert peak < 4 * (4 * n * n * 8)
+    assert peak < 3 * (4 * n * n * 8)  # the grid and its (N, N, d) copy, about 2x
 
 
 def test_evolve_half_weight_csv(tmp_path, capsys):
@@ -523,9 +523,21 @@ def test_help_exits_zero(capsys):
     ["bogus"],
     [],
     ["concurrence", "--ghz", "3"],
+    # --qubits sizes --random only; with another source it would be silently ignored
+    ["concurrence", "--w", "3", "--qubits", "10", "--split", "2xN", "--method", "hopf"],
+    # a bare -- is no option's value: attached, argparse would strip it to an empty list
+    ["evolve", "--lambda", "0.5", "--t-max", "--", "--steps", "3", "--out", "x.csv"],
+    ["evolve", "--lambda", "0.5", "--t-max", "1", "--steps", "--", "--out", "x.csv"],
+    ["evolve", "--lambda", "0.5", "--t-max", "1", "--steps", "3", "--out", "--"],
+    ["concurrence", "--state", "--", "--split", "2xN"],
+    ["concurrence", "--random", "1", "--qubits", "--", "--split", "2xN"],
+    ["verify", "--trials", "--"],
+    ["verify", "--seed", "--"],
 ], ids=["qubits-1", "ghz-1", "w-1", "split-3xN", "method-bogus", "lambda-1.5", "r-negative",
         "steps-1", "steps-huge", "phase-overflow", "out-missing-dir", "trials-0", "seed-negative",
-        "unknown-option", "abbreviation", "unknown-command", "no-command", "missing-split"])
+        "unknown-option", "abbreviation", "unknown-command", "no-command", "missing-split",
+        "qubits-without-random", "t-max-dashes", "steps-dashes", "out-dashes", "state-dashes",
+        "qubits-dashes", "trials-dashes", "seed-dashes"])
 def test_usage_error_exits_1(args, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # evolve must not get as far as writing x.csv
     code, out, err = run_cli(capsys, *args)

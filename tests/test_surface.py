@@ -1,8 +1,10 @@
 """The public surface: one name per object, no test-only names, the README examples run,
-and every number a caller passes is read by the one number rule."""
+every number a caller passes is read by the one number rule, and every object by the one
+object rule."""
 
 import ast
 import operator
+import os
 import re
 from decimal import Decimal
 from pathlib import Path
@@ -11,12 +13,15 @@ import numpy as np
 import pytest
 
 import hopfcon
-from hopfcon import (HopfconError, LocalHamiltonianSpec, LocalUnitary2, Octonion, PackedState,
-                     PureState, Quaternion, apply_local, concurrence, equivariance_error,
-                     evolve_closed_form, evolve_numeric, ghz_state, make_state,
-                     minor_concurrence, pack, pauli_propagator, products, quaternify,
-                     random_state, random_unitary, right_module_action, schmidt_initial_state,
-                     schmidt_trajectory, w_state)
+from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec, LocalUnitary2,
+                     Octonion, PackedState, PureState, Quaternion, apply_local, concurrence,
+                     equivariance_error, evolve_closed_form, evolve_numeric,
+                     generator_concurrence, ghz_state, make_state, minor_concurrence,
+                     oct_concurrence, oct_pair_projections, octonify, pack, pair_projections,
+                     pauli_propagator, products, quat_concurrence, quat_pair_projections,
+                     quaternify, random_local_unitary, random_state, random_unitary,
+                     right_module_action, save_state, schmidt_initial_state,
+                     schmidt_trajectory, verify_equivariance, w_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -183,4 +188,65 @@ def test_every_number_slot_returns_or_raises_a_hopfcon_error(value, kind):
             continue
         if kind == "non-number" or (kind == "non-real" and real):
             wrong[slot] = "accepted"
+    assert wrong == {}
+
+
+# every public entry point that takes an object from its caller, as (call, the type it takes);
+# a wrapper's slot is refused by the function it calls
+OBJECT_SLOTS = {
+    "concurrence": (lambda v: concurrence(v, 2), PureState),
+    "quat_concurrence": (quat_concurrence, PureState),
+    "oct_concurrence": (oct_concurrence, PureState),
+    "pack": (lambda v: pack(v, 2), PureState),
+    "quaternify": (quaternify, PureState),
+    "octonify": (octonify, PureState),
+    "minor_concurrence": (lambda v: minor_concurrence(v, 2), PureState),
+    "generator_concurrence": (generator_concurrence, PureState),
+    "apply_local": (lambda v: apply_local(v, np.eye(2), np.eye(2)), PureState),
+    "equivariance_error": (lambda v: equivariance_error(v, UNIT, UNIT), PureState),
+    "verify_equivariance": (lambda v: verify_equivariance(v, UNIT, UNIT), PureState),
+    "save_state": (lambda v: save_state(v, os.devnull), PureState),
+    "evolve_numeric-state": (lambda v: evolve_numeric(v, SPEC, SPEC, 1.0), PureState),
+    "pair_projections": (pair_projections, PackedState),
+    "quat_pair_projections": (quat_pair_projections, PackedState),
+    "oct_pair_projections": (oct_pair_projections, PackedState),
+    "right_module_action-packed": (lambda v: right_module_action(v, UNIT, UNIT), PackedState),
+    "right_module_action-coefficient": (lambda v: right_module_action(PACKED, v, UNIT),
+                                        LocalUnitary2),
+    "right_module_action-fiber": (lambda v: right_module_action(PACKED, UNIT, v), LocalUnitary2),
+    "pauli_propagator": (lambda v: pauli_propagator(v, 1.0), LocalHamiltonianSpec),
+    "evolve_closed_form-spec1": (lambda v: evolve_closed_form(0.5, v, SPEC, 1.0),
+                                 LocalHamiltonianSpec),
+    "evolve_closed_form-spec2": (lambda v: evolve_closed_form(0.5, SPEC, v, 1.0),
+                                 LocalHamiltonianSpec),
+    "evolve_numeric-spec1": (lambda v: evolve_numeric(STATE, v, SPEC, 1.0), LocalHamiltonianSpec),
+    "evolve_numeric-spec2": (lambda v: evolve_numeric(STATE, SPEC, v, 1.0), LocalHamiltonianSpec),
+    "schmidt_trajectory": (lambda v: schmidt_trajectory(0.5, v, [0.0]), LocalHamiltonianSpec),
+    "random_unitary": (lambda v: random_unitary(2, v), np.random.Generator),
+    "random_local_unitary": (random_local_unitary, np.random.Generator),
+}
+
+# the package's wrong type for each slot's type; numpy's legacy RandomState draws by duck
+# typing but is not a Generator
+WRONG_TYPE = {PureState: PACKED, PackedState: STATE, LocalUnitary2: SPEC,
+              LocalHamiltonianSpec: UNIT, np.random.Generator: np.random.RandomState(0)}
+
+
+@pytest.mark.parametrize("slot", OBJECT_SLOTS)
+def test_every_object_slot_refuses_a_wrong_object_by_its_type(slot):
+    # runs under -W error, so a warning on the way counts as the wrong exception too
+    call, kind = OBJECT_SLOTS[slot]
+    wrong = {}
+    for value in (None, [1.0, 0.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0, 0.0]),
+                  (1.0, 0.0, 0.0, 0.0), WRONG_TYPE[kind]):
+        got = type(value).__name__
+        try:
+            call(value)
+        except DimensionMismatchError as exc:  # a function and the type, never the value
+            if not re.fullmatch(rf"\w+ takes a {kind.__name__}, got {got}", str(exc)):
+                wrong[got] = str(exc)
+        except Exception as exc:  # an AttributeError from duck typing, say
+            wrong[got] = type(exc).__name__
+        else:
+            wrong[got] = "accepted"
     assert wrong == {}
