@@ -145,18 +145,14 @@ def _suite_local_unitary_invariance(rng, trials):
     for left_dim, n in ((2, 3), (2, 8), (4, 3), (4, 8)):
         for _ in range(trials):
             state = random_state(int(rng.integers(2 ** 31)), (left_dim, n))
-            u_left = random_unitary(left_dim, rng)
-            u_right = random_unitary(n, rng)
-            moved = apply_local(state, u_left, u_right)
+            moved = apply_local(state, random_unitary(left_dim, rng), random_unitary(n, rng))
             yield abs(concurrence(state, left_dim) - concurrence(moved, left_dim))
 
 
 def _suite_equivariance(rng, trials):
     for _ in range(4 * trials):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
-        coeff_u = random_local_unitary(rng)
-        fiber_u = random_local_unitary(rng)
-        yield equivariance_error(state, coeff_u, fiber_u)
+        yield equivariance_error(state, random_local_unitary(rng), random_local_unitary(rng))
 
 
 def _suite_norm_composition(rng, trials):

@@ -81,13 +81,14 @@ def check_dims(dims) -> tuple[int, ...]:
     return checked
 
 
-def check_type(value, kind: type, what: str):
+def check_type(value, kind: type | tuple[type, ...], what: str):
     """The object rule: value if it is a kind, else DimensionMismatchError naming what and its type.
 
-    The message leaves value out, since an object may be huge.
+    kind is a type or, as for isinstance, a tuple of types; value, maybe huge, is not printed.
     """
     if not isinstance(value, kind):
-        raise DimensionMismatchError(f"{what} takes a {kind.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise DimensionMismatchError(f"{what} takes a {kinds}, got {type(value).__name__}")
     return value
 
 

@@ -10,7 +10,7 @@ table.  Generating the tables instead of hard-coding them makes
 transcription errors detectable: the test suite asserts every
 basis-product cell independently.
 
-Every product in the package, from one scalar to the N x N grid of a
+Every product in the package, from one scalar to the (N, N, d) grid of a
 packed state's coefficient pairs, goes through _products(), the kernel of
 the public products(); its callers hand it rows already under the number
 rule.  Where the elements are the caller's (products, the product of two
@@ -57,17 +57,15 @@ def _structure_table(dim: int, triples) -> np.ndarray:
 OCTONION_TABLE = _structure_table(8, FANO_TRIPLES)
 QUATERNION_TABLE = OCTONION_TABLE[:4, :4, :4].copy()
 
-# Per coefficient count d: row k*d + p, column q holds t[p, q, k], so that
-# (rows @ b.T)[k*d + p, j] is the e_k component of e_p * b_j.
-_TABLE_ROWS = {len(table): table.transpose(2, 0, 1).reshape(-1, len(table)).astype(float)
-               for table in (QUATERNION_TABLE, OCTONION_TABLE)}
+_TABLES = {len(table): table.astype(float) for table in (QUATERNION_TABLE, OCTONION_TABLE)}
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """products() of float64 rows already under the number rule: finite, d = 4 or 8."""
     d = a.shape[-1]
-    right = (_TABLE_ROWS[d] @ b.T).reshape(d, d, len(b))  # right[k, p, j]
-    return a @ right
+    # (b @ t)[p, j, k] is the e_k component of e_p * b_j, contiguous, so reshape is a view
+    right = (b @ _TABLES[d]).reshape(d, -1)
+    return (a @ right).reshape(len(a), len(b), d)
 
 
 def _guarded_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -91,7 +89,7 @@ def products(a, b) -> np.ndarray:
     """Every product a_i * b_j of two stacks of coefficient rows.
 
     a is (m, d) and b is (n, d), real, with d = 4 (quaternions) or 8
-    (octonions).  Returns out with shape (d, m, n), where out[k, i, j] is
+    (octonions).  Returns out with shape (m, n, d), where out[i, j, k] is
     the e_k component of a_i * b_j.  Two matrix products with the
     structure table compute it: the first folds the table into b, the
     second contracts a's rows against the result.  A 1 x 1 call is a
@@ -101,7 +99,7 @@ def products(a, b) -> np.ndarray:
     a product past the float range is a ParameterError.
     """
     a, b = as_amplitudes(a, float), as_amplitudes(b, float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] not in _TABLE_ROWS or b.shape[1] != a.shape[1]:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] not in _TABLES or b.shape[1] != a.shape[1]:
         raise DimensionMismatchError("products needs two stacks of rows of 4 or 8 "
                                      f"coefficients, got shapes {a.shape} and {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):

@@ -71,7 +71,10 @@ class PackedState:
 
 @dataclass(frozen=True)
 class QuatProjection:
-    """Complex split S + C*e2 of a projected quaternion pair."""
+    """Complex split S + C*e2 of a projected quaternion pair c_j * conj(c_k).
+
+    S = schmidt is rho_B[j, k] = sum_i a_{ij} conj(a_{ik}), the N factor's reduced density matrix.
+    """
 
     schmidt: complex
     concurrence_part: complex
@@ -79,7 +82,10 @@ class QuatProjection:
 
 @dataclass(frozen=True)
 class OctProjection:
-    """Quadruple-complex split s0 + s1*e2 + (s2 + s3*e2)*e4 of a projected octonion pair."""
+    """Quadruple-complex split s0 + s1*e2 + (s2 + s3*e2)*e4 of a projected octonion pair.
+
+    s0 is rho_B[j, k], as QuatProjection.schmidt; hyper_norm_squared sums the squared minors.
+    """
 
     s0: complex
     s1: complex
@@ -119,11 +125,6 @@ def pack(state: PureState, left_dim: int) -> PackedState:
     return PackedState(_rows(check_type(state, PureState, "pack").split_matrix(left_dim)))
 
 
-def _complex_parts(grid: np.ndarray) -> np.ndarray:
-    """Products grid (d, m, n) as an (m, n, d/2) array of complex parts."""
-    return np.ascontiguousarray(grid.transpose(1, 2, 0)).view(complex)
-
-
 def project(a, b):
     """Stereographic projection a * conj(b) of two elements of one algebra, as its complex split."""
     if type(a) not in ALGEBRAS.values() or type(b) is not type(a):
@@ -131,11 +132,11 @@ def project(a, b):
                                      f"{type(a).__name__} and {type(b).__name__}")
     a_row, b_row = np.array(a.coefficients(), ndmin=2), np.array(b.coefficients(), ndmin=2)
     grid = _guarded_products(a_row, b_row * _CONJ_SIGNS[:b_row.shape[1]])  # the row of conj(b)
-    return _PROJECTIONS[len(grid)](*_complex_parts(grid)[0, 0].tolist())
+    return _PROJECTIONS[grid.shape[-1]](*grid[0, 0].view(complex).tolist())
 
 
 def _pair_grid(rows: np.ndarray) -> np.ndarray:
-    """Products c_j * conj(c_k) of every coefficient pair, shape (d, N, N)."""
+    """Products c_j * conj(c_k) of every coefficient pair, shape (N, N, d)."""
     return _products(rows, rows * _CONJ_SIGNS[:rows.shape[1]])
 
 
@@ -143,7 +144,7 @@ def _pair_parts(packed: PackedState):
     """Projection class and (N, N, d/2) complex parts of every pair; N^2 refused above the cap."""
     check_size(len(packed) ** 2, MAX_PAIR_ENTRIES,
                "the grid of coefficient pairs (concurrence --method hopf builds none)")
-    return _PROJECTIONS[packed.rows.shape[1]], _complex_parts(_pair_grid(packed.rows))
+    return _PROJECTIONS[packed.rows.shape[1]], _pair_grid(packed.rows).view(complex)
 
 
 def pair_projections(packed: PackedState):
@@ -166,9 +167,9 @@ def concurrence(state: PureState, left_dim: int) -> float:
     matrix = check_type(state, PureState, "concurrence").split_matrix(left_dim)
     if matrix.shape[1] > left_dim:
         matrix = np.linalg.qr(matrix.T, mode="r").T
-    hyper = _pair_grid(_rows(matrix))[2:]
-    np.square(hyper, out=hyper)
-    return 2.0 * math.sqrt(float(np.triu(hyper.sum(axis=0), k=1).sum()))
+    grid = _pair_grid(_rows(matrix))
+    np.square(grid, out=grid)  # the whole contiguous grid: squaring the [..., 2:] slice is slower
+    return 2.0 * math.sqrt(float(np.triu(grid[..., 2:].sum(axis=2), k=1).sum()))
 
 
 # quaternify, octonify, quat_project, the two *_pair_projections and the two
@@ -222,7 +223,7 @@ def right_module_action(qstate: PackedState, coefficient_unitary: LocalUnitary2,
         check_type(unitary, LocalUnitary2, "right_module_action")
     mixed = coefficient_unitary.matrix @ qstate.rows.view(complex)
     scalar = np.array([[fiber_unitary.a, -fiber_unitary.b.conjugate()]]).view(float)
-    return PackedState(_products(mixed.view(float), scalar)[:, :, 0].T)
+    return PackedState(_products(mixed.view(float), scalar)[:, 0])
 
 
 def equivariance_error(state: PureState, coefficient_unitary: LocalUnitary2,
@@ -240,7 +241,7 @@ def equivariance_error(state: PureState, coefficient_unitary: LocalUnitary2,
     evolved = apply_local(state, fiber_unitary, coefficient_unitary)
     moved = right_module_action(quaternify(state), coefficient_unitary, fiber_unitary)
     # (schmidt, concurrence_part) of each route's projected pair, read off its pair grid
-    (s1, c1), (s2, c2) = (_complex_parts(_pair_grid(packed.rows))[0, 1].tolist()
+    (s1, c1), (s2, c2) = (_pair_grid(packed.rows)[0, 1].view(complex).tolist()
                           for packed in (quaternify(evolved), moved))
     return max(abs(s1 - s2), abs(c1 - c2))
 

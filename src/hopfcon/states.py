@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,12 +194,13 @@ def save_state(state: PureState, path) -> None:
         "dims": list(check_type(state, PureState, "save_state").dims),
         "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),  # [re, im] pairs
     }
-    Path(path).write_text(json.dumps(payload))
+    Path(check_type(path, (str, os.PathLike), "save_state")).write_text(json.dumps(payload))
 
 
 def load_state(path) -> PureState:
     """Read a state file; DimensionMismatchError if malformed, OSError if it cannot be read."""
-    data = Path(path).read_bytes()  # outside the try: an OSError is not a malformed file
+    path = Path(check_type(path, (str, os.PathLike), "load_state"))  # pathlib refuses bytes
+    data = path.read_bytes()  # outside the try: an OSError is not a malformed file
     try:
         payload = json.loads(data)  # ValueError also for bad bytes and ints past 4300 digits
         dims = payload["dims"]

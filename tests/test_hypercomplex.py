@@ -38,7 +38,7 @@ def test_quaternion_table_cells(i, j):
     expected[k] = sign
     product = quat_mul(QUAT_BASIS[i], QUAT_BASIS[j])
     assert product.coefficients() == tuple(expected)
-    assert tuple(products(np.eye(4), np.eye(4))[:, i, j]) == tuple(expected)
+    assert tuple(products(np.eye(4), np.eye(4))[i, j]) == tuple(expected)
 
 
 @pytest.mark.parametrize("i", range(8))
@@ -49,7 +49,20 @@ def test_octonion_table_cells(i, j):
     expected[k] = sign
     product = oct_mul(OCT_BASIS[i], OCT_BASIS[j])
     assert product.coefficients() == tuple(expected)
-    assert tuple(products(np.eye(8), np.eye(8))[:, i, j]) == tuple(expected)
+    assert tuple(products(np.eye(8), np.eye(8))[i, j]) == tuple(expected)
+
+
+@pytest.mark.parametrize("algebra", [Quaternion, Octonion])
+def test_products_row_i_column_j_is_the_product_of_a_i_and_b_j(algebra):
+    # dyadic coefficients, so every product is exact in both routes
+    d = len(algebra().coefficients())
+    rng = np.random.default_rng(d)
+    a, b = (rng.integers(-16, 17, size=(n, d)) / 8.0 for n in (3, 5))
+    out = products(a, b)
+    assert out.shape == (3, 5, d)
+    for i in range(3):
+        for j in range(5):
+            assert tuple(out[i, j]) == (algebra(*a[i]) * algebra(*b[j])).coefficients()
 
 
 def test_generated_tables_match_transcription():

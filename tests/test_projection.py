@@ -293,6 +293,22 @@ def svd_concurrence(matrix):
     return 2 * math.sqrt(sum(w[i] * w[j] for i in range(len(w)) for j in range(i + 1, len(w))))
 
 
+@pytest.mark.parametrize("left_dim, right_dim", [(2, 5), (4, 5), (2, 16), (4, 8)])
+@pytest.mark.parametrize("seed", range(5))
+def test_schmidt_parts_are_the_reduced_density_matrix(seed, left_dim, right_dim):
+    # the abstract's split: each pair's complex part is rho_B[j, k] = (M^T conj(M))[j, k],
+    # the rest is the concurrence term, and together tr rho_B^2 + C^2 / 2 = 1
+    state = random_state(seed, (left_dim, right_dim))
+    packed = pack(state, left_dim)
+    rho = state.split_matrix(left_dim).T @ state.split_matrix(left_dim).conj()
+    purity = float(np.sum(np.sum(packed.rows ** 2, axis=1) ** 2))  # the diagonal, |c_j|^4
+    for j, k, p in pair_projections(packed):
+        schmidt = p.schmidt if left_dim == 2 else p.s0
+        assert abs(schmidt - rho[j, k]) <= 2e-16
+        purity += 2 * abs(schmidt) ** 2
+    assert abs(purity + pairwise_concurrence(state, left_dim) ** 2 / 2 - 1) <= 4e-15
+
+
 @pytest.mark.parametrize("left_dim", [2, 4])
 @pytest.mark.parametrize("m", range(3, 11))
 def test_compressed_concurrence_matches_pair_projections(m, left_dim):

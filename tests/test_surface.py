@@ -16,11 +16,11 @@ import hopfcon
 from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec, LocalUnitary2,
                      Octonion, PackedState, PureState, Quaternion, apply_local, concurrence,
                      equivariance_error, evolve_closed_form, evolve_numeric,
-                     generator_concurrence, ghz_state, make_state, minor_concurrence,
-                     oct_concurrence, oct_pair_projections, octonify, pack, pair_projections,
-                     pauli_propagator, products, quat_concurrence, quat_pair_projections,
-                     quaternify, random_local_unitary, random_state, random_unitary,
-                     right_module_action, save_state, schmidt_initial_state,
+                     generator_concurrence, ghz_state, load_state, make_state,
+                     minor_concurrence, oct_concurrence, oct_pair_projections, octonify, pack,
+                     pair_projections, pauli_propagator, products, quat_concurrence,
+                     quat_pair_projections, quaternify, random_local_unitary, random_state,
+                     random_unitary, right_module_action, save_state, schmidt_initial_state,
                      schmidt_trajectory, verify_equivariance, w_state)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -191,6 +191,8 @@ def test_every_number_slot_returns_or_raises_a_hopfcon_error(value, kind):
     assert wrong == {}
 
 
+PATH = (str, os.PathLike)  # what a state file's path may be
+
 # every public entry point that takes an object from its caller, as (call, the type it takes);
 # a wrapper's slot is refused by the function it calls
 OBJECT_SLOTS = {
@@ -206,6 +208,8 @@ OBJECT_SLOTS = {
     "equivariance_error": (lambda v: equivariance_error(v, UNIT, UNIT), PureState),
     "verify_equivariance": (lambda v: verify_equivariance(v, UNIT, UNIT), PureState),
     "save_state": (lambda v: save_state(v, os.devnull), PureState),
+    "save_state-path": (lambda v: save_state(STATE, v), PATH),
+    "load_state": (load_state, PATH),
     "evolve_numeric-state": (lambda v: evolve_numeric(v, SPEC, SPEC, 1.0), PureState),
     "pair_projections": (pair_projections, PackedState),
     "quat_pair_projections": (quat_pair_projections, PackedState),
@@ -227,15 +231,17 @@ OBJECT_SLOTS = {
 }
 
 # the package's wrong type for each slot's type; numpy's legacy RandomState draws by duck
-# typing but is not a Generator
+# typing but is not a Generator, and os.fspath takes bytes but pathlib does not
 WRONG_TYPE = {PureState: PACKED, PackedState: STATE, LocalUnitary2: SPEC,
-              LocalHamiltonianSpec: UNIT, np.random.Generator: np.random.RandomState(0)}
+              LocalHamiltonianSpec: UNIT, np.random.Generator: np.random.RandomState(0),
+              PATH: b"x.json"}
 
 
 @pytest.mark.parametrize("slot", OBJECT_SLOTS)
 def test_every_object_slot_refuses_a_wrong_object_by_its_type(slot):
     # runs under -W error, so a warning on the way counts as the wrong exception too
     call, kind = OBJECT_SLOTS[slot]
+    kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
     wrong = {}
     for value in (None, [1.0, 0.0, 0.0, 0.0], np.array([1.0, 0.0, 0.0, 0.0]),
                   (1.0, 0.0, 0.0, 0.0), WRONG_TYPE[kind]):
@@ -243,7 +249,7 @@ def test_every_object_slot_refuses_a_wrong_object_by_its_type(slot):
         try:
             call(value)
         except DimensionMismatchError as exc:  # a function and the type, never the value
-            if not re.fullmatch(rf"\w+ takes a {kind.__name__}, got {got}", str(exc)):
+            if not re.fullmatch(rf"\w+ takes a {kinds}, got {got}", str(exc)):
                 wrong[got] = str(exc)
         except Exception as exc:  # an AttributeError from duck typing, say
             wrong[got] = type(exc).__name__
