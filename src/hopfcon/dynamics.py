@@ -11,7 +11,7 @@ q_i = a_{i0} + a_{i1}*e2.  With that packing the second qubit's evolution
 is a right-module scalar that cancels out of the projection, so the
 Schmidt trajectory depends only on (lam, theta1, phi1, r1, t) while the
 concurrence part stays pinned at sqrt(lam*(1-lam)).  Note this is the
-transpose of the packing quaternify() uses for a general [2, N] split;
+transpose of the packing pack(state, 2) uses for a general [2, N] split;
 the cross-check tests account for the swap.
 """
 

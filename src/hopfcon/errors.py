@@ -114,8 +114,7 @@ def as_amplitudes(amplitudes, dtype=complex) -> np.ndarray:
     """Amplitudes as an array of dtype; DimensionMismatchError for anything that does not convert.
 
     The number rule for arrays, for make_state, PureState, state files, LocalUnitary2,
-    apply_local's matrices and, with dtype float, PackedState's rows, the rows of
-    products and the dynamics' times:
+    apply_local's matrices and, with dtype float, PackedState's rows and the dynamics' times:
     each element's type passes is_number (as a numbers.Real for float), or a non-object
     array's dtype is a numpy number kind.  So text, bytes, None, booleans and durations,
     which numpy would convert, are refused, as are a ragged nesting and an int too large for

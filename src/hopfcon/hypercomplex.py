@@ -11,11 +11,11 @@ transcription errors detectable: the test suite asserts every
 basis-product cell independently.
 
 Every product in the package, from one scalar to the (N, N, d) grid of a
-packed state's coefficient pairs, goes through _products(), the kernel of
-the public products(); its callers hand it rows already under the number
-rule.  Where the elements are the caller's (products, the product of two
-elements, projection.project), _guarded_products() turns an overflow into
-a ParameterError; the packed rows of a state have unit norm and cannot
+packed state's coefficient pairs, goes through the kernel _products(); its
+callers hand it rows already under the number rule.  The product a * b of
+two elements is the one product of elements a caller builds
+(projection.project is a * conj(b)), and it turns an overflow into a
+ParameterError; the packed rows of a state have unit norm and cannot
 overflow.
 
 Conventions used throughout the package:
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ParameterError, as_amplitudes, as_real
+from .errors import ParameterError, as_real
 
 # Index triples (i, j, k) with e_i * e_j = e_k; totally antisymmetric.
 FANO_TRIPLES = ((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 4, 7),
@@ -61,20 +61,11 @@ _TABLES = {len(table): table.astype(float) for table in (QUATERNION_TABLE, OCTON
 
 
 def _products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """products() of float64 rows already under the number rule: finite, d = 4 or 8."""
+    """out (m, n, d) with out[i, j] = a_i * b_j, for finite float64 rows, d = 4 or 8; unguarded."""
     d = a.shape[-1]
     # (b @ t)[p, j, k] is the e_k component of e_p * b_j, contiguous, so reshape is a view
     right = (b @ _TABLES[d]).reshape(d, -1)
     return (a @ right).reshape(len(a), len(b), d)
-
-
-def _guarded_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_products of finite rows, with ParameterError, not numpy's RuntimeWarning, on overflow."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):  # invalid: inf - inf after an overflow
-            return _products(a, b)
-    except FloatingPointError as exc:
-        raise ParameterError(f"the product leaves the float range: {exc}") from exc
 
 
 def _ldexp(x: float, e: int) -> float:
@@ -83,28 +74,6 @@ def _ldexp(x: float, e: int) -> float:
         return math.ldexp(x, e)
     except OverflowError:
         return math.copysign(math.inf, x)
-
-
-def products(a, b) -> np.ndarray:
-    """Every product a_i * b_j of two stacks of coefficient rows.
-
-    a is (m, d) and b is (n, d), real, with d = 4 (quaternions) or 8
-    (octonions).  Returns out with shape (m, n, d), where out[i, j, k] is
-    the e_k component of a_i * b_j.  Two matrix products with the
-    structure table compute it: the first folds the table into b, the
-    second contracts a's rows against the result.  A 1 x 1 call is a
-    scalar product; peak memory is the d*m*n output.  Both stacks are
-    read by the number rule of errors.as_amplitudes and must be finite
-    (inf * 0 in the matrix products would be NaN, with a RuntimeWarning);
-    a product past the float range is a ParameterError.
-    """
-    a, b = as_amplitudes(a, float), as_amplitudes(b, float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] not in _TABLES or b.shape[1] != a.shape[1]:
-        raise DimensionMismatchError("products needs two stacks of rows of 4 or 8 "
-                                     f"coefficients, got shapes {a.shape} and {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DimensionMismatchError("products needs finite coefficients")
-    return _guarded_products(a, b)
 
 
 class Hypercomplex:
@@ -156,11 +125,18 @@ class Hypercomplex:
         return type(self)(*(_ldexp(x / n2, -e) for x in scaled))
 
     def __mul__(self, other):
-        """The algebra product of two elements of one algebra; nothing else multiplies."""
+        """The product of two elements of one algebra; nothing else multiplies.
+
+        A product past the float range is a ParameterError, not numpy's RuntimeWarning.
+        """
         if not isinstance(other, type(self)):
             return NotImplemented
-        product = _guarded_products(np.array(self.coefficients(), ndmin=2),
+        try:
+            with np.errstate(over="raise", invalid="raise"):  # invalid: inf - inf after an overflow
+                product = _products(np.array(self.coefficients(), ndmin=2),
                                     np.array(other.coefficients(), ndmin=2))
+        except FloatingPointError as exc:
+            raise ParameterError(f"the product leaves the float range: {exc}") from exc
         return type(self)(*product.ravel().tolist())
 
 

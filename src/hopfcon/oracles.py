@@ -1,4 +1,4 @@
-"""Independent ground-truth concurrence computations.
+"""Ground-truth concurrence computations, independent of the projection.
 
 Two routes that never touch the hypercomplex algebra: the sum of squared 2x2
 minors of the amplitude matrix (any bipartition) and the antisymmetric

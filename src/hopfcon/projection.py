@@ -9,8 +9,8 @@ magnitudes sum, over all pairs, to the squared 2x2 minors of the
 amplitude matrix -- which is why the assembled quantity
 2 * sqrt(sum over pairs) is exactly the bipartite concurrence.  Both
 algebras run through one code path: the packed coefficients are real rows
-(N, d) with d = 2 * left_dim, and every product comes from the kernel of
-hypercomplex.products().
+(N, d) with d = 2 * left_dim, and every product comes from the kernel
+hypercomplex._products; project() is the element product a * conj(b).
 concurrence() first compresses the amplitude matrix M to R^T, from a reduced
 QR M^T = Q R: Lambda^2(R^T Q^T) = Lambda^2(R^T) Lambda^2(Q^T) and Q^T has
 orthonormal rows, so the sum of squared minors is kept.  project() and
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (MAX_PAIR_ENTRIES, DimensionMismatchError, SplitMismatchError,
                      as_amplitudes, check_norm, check_size, check_type)
-from .hypercomplex import ALGEBRAS, Quaternion, _guarded_products, _products
+from .hypercomplex import ALGEBRAS, Quaternion, _products
 from .states import LocalUnitary2, PureState, apply_local
 
 # Conjugation keeps e0 and negates the rest; slice to the coefficient count.
@@ -130,9 +130,8 @@ def project(a, b):
     if type(a) not in ALGEBRAS.values() or type(b) is not type(a):
         raise DimensionMismatchError("project takes two elements of one algebra, got "
                                      f"{type(a).__name__} and {type(b).__name__}")
-    a_row, b_row = np.array(a.coefficients(), ndmin=2), np.array(b.coefficients(), ndmin=2)
-    grid = _guarded_products(a_row, b_row * _CONJ_SIGNS[:b_row.shape[1]])  # the row of conj(b)
-    return _PROJECTIONS[grid.shape[-1]](*grid[0, 0].view(complex).tolist())
+    coefficients = (a * b.conjugate()).coefficients()
+    return _PROJECTIONS[len(coefficients)](*np.array(coefficients).view(complex).tolist())
 
 
 def _pair_grid(rows: np.ndarray) -> np.ndarray:
@@ -239,10 +238,10 @@ def equivariance_error(state: PureState, coefficient_unitary: LocalUnitary2,
     if check_type(state, PureState, "equivariance_error").total_dim != 4:
         raise SplitMismatchError("the equivariance check expects a two-qubit state")
     evolved = apply_local(state, fiber_unitary, coefficient_unitary)
-    moved = right_module_action(quaternify(state), coefficient_unitary, fiber_unitary)
+    moved = right_module_action(pack(state, 2), coefficient_unitary, fiber_unitary)
     # (schmidt, concurrence_part) of each route's projected pair, read off its pair grid
     (s1, c1), (s2, c2) = (_pair_grid(packed.rows)[0, 1].view(complex).tolist()
-                          for packed in (quaternify(evolved), moved))
+                          for packed in (pack(evolved, 2), moved))
     return max(abs(s1 - s2), abs(c1 - c2))
 
 

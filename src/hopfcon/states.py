@@ -188,18 +188,23 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
+def _path(path, what: str) -> str:
+    """A str, or a PathLike whose os.fspath is one, by the object rule: pathlib refuses bytes."""
+    return check_type(os.fspath(check_type(path, (str, os.PathLike), what)), str, what)
+
+
 def save_state(state: PureState, path) -> None:
     """Write a state file: {"dims": [...], "amplitudes": [[re, im], ...]}."""
     payload = {
         "dims": list(check_type(state, PureState, "save_state").dims),
         "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),  # [re, im] pairs
     }
-    Path(check_type(path, (str, os.PathLike), "save_state")).write_text(json.dumps(payload))
+    Path(_path(path, "save_state")).write_text(json.dumps(payload))
 
 
 def load_state(path) -> PureState:
     """Read a state file; DimensionMismatchError if malformed, OSError if it cannot be read."""
-    path = Path(check_type(path, (str, os.PathLike), "load_state"))  # pathlib refuses bytes
+    path = Path(_path(path, "load_state"))
     data = path.read_bytes()  # outside the try: an OSError is not a malformed file
     try:
         payload = json.loads(data)  # ValueError also for bad bytes and ints past 4300 digits

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfcon import Octonion, ParameterError, Quaternion, oct_mul, project, quat_mul
-from hopfcon.hypercomplex import OCTONION_TABLE, QUATERNION_TABLE, products
+from hopfcon.hypercomplex import OCTONION_TABLE, QUATERNION_TABLE, _products
 
 from reference_tables import (OCTONION_TABLE_TEXT, QUATERNION_TABLE_TEXT,
                               parse_table)
@@ -38,7 +38,6 @@ def test_quaternion_table_cells(i, j):
     expected[k] = sign
     product = quat_mul(QUAT_BASIS[i], QUAT_BASIS[j])
     assert product.coefficients() == tuple(expected)
-    assert tuple(products(np.eye(4), np.eye(4))[i, j]) == tuple(expected)
 
 
 @pytest.mark.parametrize("i", range(8))
@@ -49,16 +48,15 @@ def test_octonion_table_cells(i, j):
     expected[k] = sign
     product = oct_mul(OCT_BASIS[i], OCT_BASIS[j])
     assert product.coefficients() == tuple(expected)
-    assert tuple(products(np.eye(8), np.eye(8))[i, j]) == tuple(expected)
 
 
 @pytest.mark.parametrize("algebra", [Quaternion, Octonion])
 def test_products_row_i_column_j_is_the_product_of_a_i_and_b_j(algebra):
-    # dyadic coefficients, so every product is exact in both routes
+    # the routes' kernel against the element product, on dyadic coefficients, so both are exact
     d = len(algebra().coefficients())
     rng = np.random.default_rng(d)
     a, b = (rng.integers(-16, 17, size=(n, d)) / 8.0 for n in (3, 5))
-    out = products(a, b)
+    out = _products(a, b)
     assert out.shape == (3, 5, d)
     for i in range(3):
         for j in range(5):
@@ -220,9 +218,8 @@ def test_norm_and_inverse_keep_their_bits_on_ordinary_elements():
 @pytest.mark.parametrize("overflow", [
     lambda: Quaternion(1e200) * Quaternion(1e200),
     lambda: Octonion(1e200, 1e200) * Octonion(1e200, 1e200),
-    lambda: products([[1e200, 0, 0, 0]], [[1e200, 0, 0, 0]]),
     lambda: project(Quaternion(1e200), Quaternion(1e200)),
-], ids=["quaternion", "octonion", "products", "project"])
+], ids=["quaternion", "octonion", "project"])
 def test_an_overflowing_product_is_a_parameter_error_not_a_warning(overflow):
     with pytest.raises(ParameterError, match="float range"):
         overflow()

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ def test_oct_projection_reconstructs_product():
         oa = Octonion(*rng.standard_normal(8))
         ob = Octonion(*rng.standard_normal(8))
         assert project(oa, ob) == OctProjection(*complex_split(oct_mul(oa, ob.conjugate())))
+
+
+@pytest.mark.parametrize("left_dim", [2, 4])
+def test_pair_projections_are_project_of_each_coefficient_pair(left_dim):
+    # the routes' (N, N, d) grid kernel against the element product a * conj(b); the
+    # amplitudes (+-1 +-i) / 8 are dyadic, so both are exact and agree bit for bit
+    rng = np.random.default_rng(left_dim)
+    amplitudes = (rng.choice([-1.0, 1.0], 32) + 1j * rng.choice([-1.0, 1.0], 32)) / 8
+    packed = pack(make_state((2,) * 5, amplitudes), left_dim)
+    c = packed.coefficients
+    assert pair_projections(packed) == [(j, k, project(c[j], c[k]))
+                                        for j, k in combinations(range(len(c)), 2)]
 
 
 def test_oct_projection_bilinear_cross_check():

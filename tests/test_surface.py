@@ -3,6 +3,7 @@ every number a caller passes is read by the one number rule, and every object by
 object rule."""
 
 import ast
+import importlib
 import operator
 import os
 import re
@@ -18,7 +19,7 @@ from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec,
                      equivariance_error, evolve_closed_form, evolve_numeric,
                      generator_concurrence, ghz_state, load_state, make_state,
                      minor_concurrence, oct_concurrence, oct_pair_projections, octonify, pack,
-                     pair_projections, pauli_propagator, products, quat_concurrence,
+                     pair_projections, pauli_propagator, quat_concurrence,
                      quat_pair_projections, quaternify, random_local_unitary, random_state,
                      random_unitary, right_module_action, save_state, schmidt_initial_state,
                      schmidt_trajectory, verify_equivariance, w_state)
@@ -71,6 +72,53 @@ def test_every_name_defined_in_src_is_used_outside_its_def_line():
             defined |= {node.name for node in ast.walk(tree)
                         if isinstance(node, DEFS) and not re.fullmatch(r"__\w+__", node.name)}
     assert sorted(defined - used) == []
+
+
+# The defs that only perfbench/ and tests call: perfbench/tracing.py labels its spans by
+# __name__, so they stay until the benchmark calls the general names.
+BENCHMARK_ONLY = {"quaternify", "octonify", "quat_project", "quat_pair_projections",
+                  "oct_pair_projections", "quat_concurrence", "oct_concurrence",
+                  "verify_equivariance", "as_array", "hyper_norm_squared", "quat_mul", "oct_mul",
+                  "evolve_numeric", "schmidt_initial_state"}
+
+
+def test_src_calls_no_benchmark_only_def():
+    # so deleting them touches only their defs and their __init__ entries
+    calls = {path.name: sorted(_references(ast.parse(path.read_text())) & BENCHMARK_ONLY)
+             for path in SOURCES if path.name != "__init__.py"}
+    assert {name: found for name, found in calls.items() if found} == {}
+
+
+MODULES = {"hopfcon", *(f"hopfcon.{path.stem}" for path in SOURCES if path.stem != "__init__")}
+
+
+def test_every_hopfcon_name_the_benchmark_reads_exists():
+    # a deletion in src that would break perfbench/ fails here, not in a benchmark run
+    read = set()  # (module, name) pairs
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> the hopfcon module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("hopfcon"):
+                        # import a.b binds a to a, and import a.b as c binds c to a.b
+                        module = alias.name if alias.asname else "hopfcon"
+                        bound[alias.asname or module] = module
+                        if "." in alias.name:
+                            read.add(tuple(alias.name.rsplit(".", 1)))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hopfcon"):
+                for alias in node.names:
+                    read.add((node.module, alias.name))
+                    if f"{node.module}.{alias.name}" in MODULES:
+                        bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        read |= {(bound[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in bound}
+    missing = [f"{module}.{name}" for module, name in sorted(read)
+               if f"{module}.{name}" not in MODULES
+               and not hasattr(importlib.import_module(module), name)]
+    assert len(read) >= 30 and missing == []
 
 
 # Each module imports from the package only modules earlier in this order.
@@ -160,7 +208,6 @@ NUMBER_SLOTS = {
     "random_unitary-n": (lambda v: random_unitary(v, RNG), True),
     "Quaternion-coefficient": (lambda v: Quaternion(v) * Quaternion(1), True),
     "Octonion-coefficient": (lambda v: Octonion(0, 0, 0, 0, 0, 0, 0, v), True),
-    "products-row": (lambda v: products([[v, 0, 0, 0]], [[1, 0, 0, 0]]), True),
 }
 
 # (value, kind): a non-number must be refused everywhere, a non-real wherever a real is required
