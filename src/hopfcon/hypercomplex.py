@@ -172,9 +172,6 @@ class Octonion(Hypercomplex):
 ALGEBRAS = {4: Quaternion, 8: Octonion}
 
 
-# quat_mul and oct_mul stay defs, not aliases of Hypercomplex.__mul__, because the
-# benchmark labels its spans by __name__.
-
 def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
     return a * b
 

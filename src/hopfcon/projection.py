@@ -84,7 +84,11 @@ class QuatProjection:
 class OctProjection:
     """Quadruple-complex split s0 + s1*e2 + (s2 + s3*e2)*e4 of a projected octonion pair.
 
-    s0 is rho_B[j, k], as QuatProjection.schmidt; hyper_norm_squared sums the squared minors.
+    s0 is rho_B[j, k], as QuatProjection.schmidt; |s1|^2 + |s2|^2 + |s3|^2 sums the squared
+    minors m_ab of rows a, b = 2A + B, A and B the packed qubits.  s1 holds m01 and m23, so it
+    vanishes when B factors out; s2 holds m02 and m13, so it vanishes when A does; all three
+    vanish when the N side does.  One vanishing part is one complex equation, which an
+    entangled state can meet: it does not by itself prove a product state.
     """
 
     s0: complex
@@ -170,10 +174,6 @@ def concurrence(state: PureState, left_dim: int) -> float:
     np.square(grid, out=grid)  # the whole contiguous grid: squaring the [..., 2:] slice is slower
     return 2.0 * math.sqrt(float(np.triu(grid[..., 2:].sum(axis=2), k=1).sum()))
 
-
-# quaternify, octonify, quat_project, the two *_pair_projections and the two
-# *_concurrence stay defs, not aliases, because the benchmark labels its spans by
-# __name__.
 
 def quaternify(state: PureState) -> PackedState:
     return pack(state, 2)

@@ -15,7 +15,6 @@ import numbers
 import operator
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -189,7 +188,7 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _path(path, what: str) -> str:
-    """A str, or a PathLike whose os.fspath is one, by the object rule: pathlib refuses bytes."""
+    """A str, or a PathLike whose os.fspath is one, by the object rule; "" stays "", not "."."""
     return check_type(os.fspath(check_type(path, (str, os.PathLike), what)), str, what)
 
 
@@ -199,13 +198,14 @@ def save_state(state: PureState, path) -> None:
         "dims": list(check_type(state, PureState, "save_state").dims),
         "amplitudes": state.amplitudes.view(float).reshape(-1, 2).tolist(),  # [re, im] pairs
     }
-    Path(_path(path, "save_state")).write_text(json.dumps(payload))
+    with open(_path(path, "save_state"), "w") as file:
+        file.write(json.dumps(payload))
 
 
 def load_state(path) -> PureState:
     """Read a state file; DimensionMismatchError if malformed, OSError if it cannot be read."""
-    path = Path(_path(path, "load_state"))
-    data = path.read_bytes()  # outside the try: an OSError is not a malformed file
+    with open(_path(path, "load_state"), "rb") as file:
+        data = file.read()  # outside the try: an OSError is not a malformed file
     try:
         payload = json.loads(data)  # ValueError also for bad bytes and ints past 4300 digits
         dims = payload["dims"]

@@ -1,5 +1,8 @@
 """Literal reference forms that the tests check the package's routes against."""
 
+import math
+from itertools import combinations
+
 import numpy as np
 
 from hopfcon import project
@@ -39,6 +42,34 @@ def oct_projection_bilinear(u, v) -> tuple[complex, complex, complex, complex]:
     s2 = -minor(0, 2) + np.conj(minor(1, 3))
     s3 = -minor(1, 2) - np.conj(minor(0, 3))
     return complex(s0), complex(s1), complex(s2), complex(s3)
+
+
+def exact_concurrence(matrix) -> float:
+    """2 * sqrt(sum of |2x2 minors|^2) of a complex matrix, in exact integer arithmetic.
+
+    Every float is an exact dyadic rational p / 2**j, so one shared exponent k scales
+    every real and imaginary part to an int.  Each minor is then an exact Gaussian
+    integer at scale 2**(2k), and the sum of their squared magnitudes an exact int at
+    scale 2**(4k).  One math.isqrt at 120 bits and one correctly rounded int division
+    give the concurrence to within an ulp.
+    """
+    ratios = [[x.as_integer_ratio() for x in row]
+              for row in np.asarray(matrix, complex).view(float).tolist()]
+    k = max(q.bit_length() for row in ratios for _, q in row) - 1  # every q is a power of 2
+    rows = [[((re << k) // q_re, (im << k) // q_im) for (re, q_re), (im, q_im)
+             in zip(row[0::2], row[1::2])] for row in ratios]
+    total = 0
+    for a, b in combinations(rows, 2):
+        for j, l in combinations(range(len(a)), 2):
+            (x, y), (u, v) = _times(a[j], b[l]), _times(b[j], a[l])
+            total += (x - u) ** 2 + (y - v) ** 2
+    shift = max(0, 121 - total.bit_length() // 2)  # isqrt of total << 2 shift has >= 120 bits
+    return 2 * math.isqrt(total << 2 * shift) / (1 << (shift + 2 * k))
+
+
+def _times(z, w):
+    """Product of two Gaussian integers given as (re, im) pairs of ints."""
+    return z[0] * w[0] - z[1] * w[1], z[0] * w[1] + z[1] * w[0]
 
 
 def transformed_schmidt_part(qstate, coefficient_unitary) -> complex:

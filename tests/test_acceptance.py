@@ -10,14 +10,11 @@ import time
 import numpy as np
 
 from hopfcon import (LocalHamiltonianSpec, LocalUnitary2, Octonion, PackedState,
-                     Quaternion, apply_local, evolve_closed_form,
-                     evolve_numeric, generator_concurrence, ghz_state,
-                     make_state, minor_concurrence, oct_concurrence, oct_mul,
-                     oct_pair_projections, octonify, quat_concurrence,
-                     quat_mul, quat_pair_projections, quat_project,
-                     quaternify, random_local_unitary, random_state,
-                     random_unitary, right_module_action, schmidt_initial_state,
-                     w_state)
+                     PureState, Quaternion, apply_local, concurrence,
+                     evolve_closed_form, generator_concurrence, ghz_state,
+                     make_state, minor_concurrence, pack, pair_projections,
+                     pauli_propagator, project, random_local_unitary, random_state,
+                     random_unitary, right_module_action, w_state)
 from hopfcon.cli import main
 
 from reference_tables import (OCTONION_TABLE_TEXT, QUATERNION_TABLE_TEXT,
@@ -35,7 +32,7 @@ def report(number: int, label: str, worst: float, tol: float, elapsed=None):
 
 def test_criterion_01_ghz_quaternionic():
     start = time.perf_counter()
-    worst = max(abs(quat_concurrence(ghz_state(m)) - 1.0) for m in range(2, 11))
+    worst = max(abs(concurrence(ghz_state(m), 2) - 1.0) for m in range(2, 11))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
     report(1, "ghz quaternionic", worst, 1e-12, elapsed)
@@ -43,7 +40,7 @@ def test_criterion_01_ghz_quaternionic():
 
 def test_criterion_02_w_quaternionic():
     start = time.perf_counter()
-    worst = max(abs(quat_concurrence(w_state(m)) - 2 * math.sqrt(m - 1) / m)
+    worst = max(abs(concurrence(w_state(m), 2) - 2 * math.sqrt(m - 1) / m)
                 for m in range(2, 11))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
@@ -54,8 +51,8 @@ def test_criterion_03_ghz_w_octonionic():
     start = time.perf_counter()
     worst = 0.0
     for m in range(3, 11):
-        worst = max(worst, abs(oct_concurrence(ghz_state(m)) - 1.0))
-        worst = max(worst, abs(oct_concurrence(w_state(m))
+        worst = max(worst, abs(concurrence(ghz_state(m), 4) - 1.0))
+        worst = max(worst, abs(concurrence(w_state(m), 4)
                                - 2 * math.sqrt(2 * (m - 2)) / m))
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s exceeds 1s"
@@ -69,14 +66,14 @@ def test_criterion_04_triple_oracle_agreement():
     for n in (2, 3, 4, 8):
         for _ in range(125):
             state = random_state(int(rng.integers(2 ** 31)), (2, n))
-            values = (quat_concurrence(state), minor_concurrence(state, 2),
+            values = (concurrence(state, 2), minor_concurrence(state, 2),
                       generator_concurrence(state))
             worst2 = max(worst2, max(values) - min(values))
     worst4 = 0.0
     for n in (2, 3, 4, 8):
         for _ in range(125):
             state = random_state(int(rng.integers(2 ** 31)), (4, n))
-            worst4 = max(worst4, abs(oct_concurrence(state)
+            worst4 = max(worst4, abs(concurrence(state, 4)
                                      - minor_concurrence(state, 4)))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"runtime {elapsed:.2f}s exceeds 10s"
@@ -87,13 +84,13 @@ def test_criterion_04_triple_oracle_agreement():
 def test_criterion_05_local_unitary_invariance():
     rng = np.random.default_rng(2025)
     worst = 0.0
-    for left_dim, conc in ((2, quat_concurrence), (4, oct_concurrence)):
+    for left_dim in (2, 4):
         for _ in range(500):
             n = int(rng.choice((2, 3, 4, 8)))
             state = random_state(int(rng.integers(2 ** 31)), (left_dim, n))
             moved = apply_local(state, random_unitary(left_dim, rng),
                                 random_unitary(n, rng))
-            worst = max(worst, abs(conc(state) - conc(moved)))
+            worst = max(worst, abs(concurrence(state, left_dim) - concurrence(moved, left_dim)))
     report(5, "local-unitary invariance", worst, 1e-10)
 
 
@@ -104,10 +101,10 @@ def test_criterion_06_commuting_diagram():
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
         coeff_u = random_local_unitary(rng)
         fiber_u = random_local_unitary(rng)
-        via_state = quaternify(apply_local(state, fiber_u, coeff_u))
-        via_module = right_module_action(quaternify(state), coeff_u, fiber_u)
-        p1 = quat_project(*via_state.coefficients)
-        p2 = quat_project(*via_module.coefficients)
+        via_state = pack(apply_local(state, fiber_u, coeff_u), 2)
+        via_module = right_module_action(pack(state, 2), coeff_u, fiber_u)
+        p1 = project(*via_state.coefficients)
+        p2 = project(*via_module.coefficients)
         worst = max(worst, abs(p1.schmidt - p2.schmidt),
                     abs(p1.concurrence_part - p2.concurrence_part))
     report(6, "commuting diagram", worst, 1e-10)
@@ -115,12 +112,12 @@ def test_criterion_06_commuting_diagram():
     worst_schmidt = 0.0
     for _ in range(200):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
-        qstate = quaternify(state)
+        qstate = pack(state, 2)
         coeff_u = random_local_unitary(rng)
         moved = right_module_action(qstate, coeff_u, LocalUnitary2(1, 0))
         closed = transformed_schmidt_part(qstate, coeff_u)
         worst_schmidt = max(worst_schmidt,
-                            abs(quat_project(*moved.coefficients).schmidt - closed))
+                            abs(project(*moved.coefficients).schmidt - closed))
     report(6, "schmidt closed form", worst_schmidt, 1e-10)
 
 
@@ -154,21 +151,22 @@ def test_criterion_07_dynamics_grid():
         for spec1, spec2 in angle_settings:
             for t in times:
                 closed = evolve_closed_form(lam, spec1, spec2, t)
-                closed_amps = np.array(
-                    [z for q in closed.coefficients for z in q.complex_pair()])
-                numeric = _trajectory_packed(
-                    evolve_numeric(schmidt_initial_state(lam), spec1, spec2, t))
-                numeric_amps = np.array(
-                    [z for q in numeric.coefficients for z in q.complex_pair()])
+                closed_amps = np.array([z for q in closed.coefficients
+                                        for z in (complex(q.x0, q.x1), complex(q.x2, q.x3))])
+                initial = PureState((2, 2), [math.sqrt(lam), 0, 0, math.sqrt(1 - lam)])
+                numeric = _trajectory_packed(apply_local(
+                    initial, pauli_propagator(spec1, t), pauli_propagator(spec2, t)))
+                numeric_amps = np.array([z for q in numeric.coefficients
+                                         for z in (complex(q.x0, q.x1), complex(q.x2, q.x3))])
                 aligned = _phase_aligned(closed_amps, numeric_amps)
                 worst_amp = max(worst_amp, np.max(np.abs(closed_amps - aligned)))
 
-                proj = quat_project(*closed.coefficients)
+                proj = project(*closed.coefficients)
                 worst_conc = max(worst_conc, abs(abs(proj.concurrence_part)
                                                  - math.sqrt(lam * (1 - lam))))
 
                 for other in alt2:
-                    alt = quat_project(
+                    alt = project(
                         *evolve_closed_form(lam, spec1, other, t).coefficients)
                     worst_indep = max(worst_indep,
                                       abs(alt.schmidt - proj.schmidt),
@@ -191,18 +189,18 @@ def test_criterion_08_separability():
             amps = np.kron(left / np.linalg.norm(left), right / np.linalg.norm(right))
             state = make_state((left_dim, right_dim), amps)
             if left_dim == 2:
-                for _, _, proj in quat_pair_projections(quaternify(state)):
+                for _, _, proj in pair_projections(pack(state, 2)):
                     worst = max(worst, abs(proj.concurrence_part))
             else:
-                for _, _, proj in oct_pair_projections(octonify(state)):
+                for _, _, proj in pair_projections(pack(state, 4)):
                     worst = max(worst, abs(proj.s1), abs(proj.s2), abs(proj.s3))
     report(8, "separability", worst, 1e-12)
 
 
 def test_criterion_09_algebra_suite():
     worst = 0.0
-    for cells, algebra, mul in ((parse_table(QUATERNION_TABLE_TEXT), Quaternion, quat_mul),
-                                (parse_table(OCTONION_TABLE_TEXT), Octonion, oct_mul)):
+    for cells, algebra in ((parse_table(QUATERNION_TABLE_TEXT), Quaternion),
+                           (parse_table(OCTONION_TABLE_TEXT), Octonion)):
         units = tuple(algebra(*row) for row in np.eye(len(cells)))
         dim = len(units)
         for i in range(dim):
@@ -210,7 +208,7 @@ def test_criterion_09_algebra_suite():
                 k, sign = cells[i][j]
                 expected = [0.0] * dim
                 expected[k] = float(sign)
-                got = mul(units[i], units[j]).coefficients()
+                got = (units[i] * units[j]).coefficients()
                 worst = max(worst, max(abs(g - e) for g, e in zip(got, expected)))
     report(9, "basis product cells", worst, 0.0)
 
@@ -218,14 +216,14 @@ def test_criterion_09_algebra_suite():
     worst_norm = 0.0
     for _ in range(1000):
         q1, q2 = Quaternion(*rng.standard_normal(4)), Quaternion(*rng.standard_normal(4))
-        worst_norm = max(worst_norm, abs(quat_mul(q1, q2).norm() - q1.norm() * q2.norm()))
+        worst_norm = max(worst_norm, abs((q1 * q2).norm() - q1.norm() * q2.norm()))
         o1, o2 = Octonion(*rng.standard_normal(8)), Octonion(*rng.standard_normal(8))
-        worst_norm = max(worst_norm, abs(oct_mul(o1, o2).norm() - o1.norm() * o2.norm()))
+        worst_norm = max(worst_norm, abs((o1 * o2).norm() - o1.norm() * o2.norm()))
     report(9, "norm composition", worst_norm, 1e-12)
 
     e = tuple(Octonion(*row) for row in np.eye(8))
-    left = oct_mul(oct_mul(e[1], e[2]), e[4])
-    right = oct_mul(e[1], oct_mul(e[2], e[4]))
+    left = (e[1] * e[2]) * e[4]
+    right = e[1] * (e[2] * e[4])
     exact = (left == e[7]) and (right == Octonion(*-np.eye(8)[7]))
     print(f"ACCEPTANCE  9 [non-associativity witness]: {'PASS' if exact else 'FAIL'}")
     assert exact

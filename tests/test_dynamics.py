@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hopfcon import (LocalHamiltonianSpec, PackedState, ParameterError, Quaternion,
-                     evolve_closed_form, evolve_numeric, ghz_state,
-                     minor_concurrence, pauli_propagator, quat_project,
-                     quaternify, schmidt_initial_state, schmidt_trajectory)
+from hopfcon import (LocalHamiltonianSpec, PackedState, ParameterError, PureState, Quaternion,
+                     apply_local, evolve_closed_form, ghz_state, minor_concurrence, pack,
+                     pauli_propagator, project, schmidt_trajectory)
 from hopfcon.dynamics import _trajectory_points
 
 
@@ -20,6 +19,16 @@ def trajectory_packed(state) -> PackedState:
     # trajectory packing: index by the first qubit, pack the second into e2;
     # row i holds (Re, Im) of a_{i0}, a_{i1}
     return PackedState(state.split_matrix(2).view(float))
+
+
+def schmidt_state(lam):
+    """The engine's initial state sqrt(lam)|00> + sqrt(1-lam)|11>."""
+    return PureState((2, 2), [math.sqrt(lam), 0, 0, math.sqrt(1 - lam)])
+
+
+def propagate(state, spec1, spec2, t):
+    """The numeric route: each qubit's Pauli propagator applied to the state."""
+    return apply_local(state, pauli_propagator(spec1, t), pauli_propagator(spec2, t))
 
 
 def test_propagator_at_zero_time():
@@ -112,7 +121,7 @@ def test_closed_form_matches_numeric_propagator():
         spec1, spec2 = random_spec(rng), random_spec(rng)
         t = rng.uniform(0, 10)
         closed = evolve_closed_form(lam, spec1, spec2, t)
-        evolved = evolve_numeric(schmidt_initial_state(lam), spec1, spec2, t)
+        evolved = propagate(schmidt_state(lam), spec1, spec2, t)
         numeric = trajectory_packed(evolved)
         for qc, qn in zip(closed.coefficients, numeric.coefficients):
             worst = max(worst, max(abs(x - y) for x, y in
@@ -128,7 +137,7 @@ def test_closed_form_matches_numeric_for_general_field_magnitudes():
         spec2 = random_spec(rng, r=rng.uniform(0, 2))
         t = rng.uniform(0, 6)
         closed = evolve_closed_form(lam, spec1, spec2, t)
-        numeric = trajectory_packed(evolve_numeric(schmidt_initial_state(lam), spec1, spec2, t))
+        numeric = trajectory_packed(propagate(schmidt_state(lam), spec1, spec2, t))
         for qc, qn in zip(closed.coefficients, numeric.coefficients):
             assert max(abs(x - y) for x, y in
                        zip(qc.coefficients(), qn.coefficients())) < 1e-10
@@ -139,10 +148,10 @@ def test_trajectory_packing_equals_quaternify_of_swapped_factors():
     rng = np.random.default_rng(4)
     lam, t = 0.4, 2.3
     spec1, spec2 = random_spec(rng), random_spec(rng)
-    evolved = evolve_numeric(schmidt_initial_state(lam), spec1, spec2, t)
-    swapped = evolve_numeric(schmidt_initial_state(lam), spec2, spec1, t)
+    evolved = propagate(schmidt_state(lam), spec1, spec2, t)
+    swapped = propagate(schmidt_state(lam), spec2, spec1, t)
     packed = trajectory_packed(evolved)
-    via_quaternify = quaternify(swapped)
+    via_quaternify = pack(swapped, 2)
     for qa, qb in zip(packed.coefficients, via_quaternify.coefficients):
         assert max(abs(x - y) for x, y in
                    zip(qa.coefficients(), qb.coefficients())) < 1e-12
@@ -154,7 +163,7 @@ def test_concurrence_part_is_constant():
         lam = rng.uniform()
         closed = evolve_closed_form(lam, random_spec(rng), random_spec(rng),
                                     rng.uniform(0, 10))
-        proj = quat_project(*closed.coefficients)
+        proj = project(*closed.coefficients)
         assert abs(abs(proj.concurrence_part) - math.sqrt(lam * (1 - lam))) < 1e-10
 
 
@@ -165,7 +174,7 @@ def test_projection_independent_of_second_hamiltonian():
         spec1 = random_spec(rng)
         t = rng.uniform(0, 10)
         specs2 = [random_spec(rng, r=rng.uniform(0, 2)) for _ in range(3)]
-        projections = [quat_project(*evolve_closed_form(lam, spec1, s2, t).coefficients)
+        projections = [project(*evolve_closed_form(lam, spec1, s2, t).coefficients)
                        for s2 in specs2]
         for proj in projections[1:]:
             assert abs(proj.schmidt - projections[0].schmidt) < 1e-10
@@ -200,7 +209,7 @@ def test_schmidt_trajectory_matches_projection_route():
         points = schmidt_trajectory(lam, spec1, times)
         for point in points:
             closed = evolve_closed_form(lam, spec1, spec2, point.t)
-            proj = quat_project(*closed.coefficients)
+            proj = project(*closed.coefficients)
             assert abs(proj.schmidt - complex(point.schmidt_re, point.schmidt_im)) < 1e-9
             assert abs(point.concurrence_mag - abs(proj.concurrence_part)) < 1e-10
 
@@ -209,9 +218,9 @@ def test_evolve_numeric_identity_and_invariance():
     rng = np.random.default_rng(8)
     bell = ghz_state(2)
     spec1, spec2 = random_spec(rng), random_spec(rng)
-    assert np.allclose(evolve_numeric(bell, spec1, spec2, 0.0).amplitudes,
+    assert np.allclose(propagate(bell, spec1, spec2, 0.0).amplitudes,
                        bell.amplitudes, atol=1e-15)
     for t in (0.5, 2.0, 7.7):
-        evolved = evolve_numeric(bell, spec1, spec2, t)
+        evolved = propagate(bell, spec1, spec2, t)
         assert abs(np.linalg.norm(evolved.amplitudes) - 1) < 1e-12
         assert abs(minor_concurrence(evolved, 2) - 1) < 1e-12

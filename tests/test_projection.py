@@ -10,13 +10,11 @@ from hopfcon import (DimensionMismatchError, LocalUnitary2, NormalizationError,
                      OctProjection, Octonion, PackedState, PureState, QuatProjection, Quaternion,
                      SizeLimitError, SplitMismatchError, apply_local, concurrence,
                      equivariance_error, generator_concurrence, ghz_state, make_state,
-                     minor_concurrence, oct_concurrence, oct_mul, oct_pair_projections,
-                     octonify, pack, pair_projections, project, quat_concurrence,
-                     quat_mul, quat_pair_projections, quat_project, quaternify,
+                     minor_concurrence, pack, pair_projections, project,
                      random_local_unitary, random_state, random_unitary,
-                     right_module_action, verify_equivariance, w_state)
+                     right_module_action, w_state)
 
-from references import (oct_projection_bilinear, quat_projection_bilinear,
+from references import (exact_concurrence, oct_projection_bilinear, quat_projection_bilinear,
                         transformed_schmidt_part)
 
 SQRT_HALF = 1 / math.sqrt(2)
@@ -25,6 +23,11 @@ SQRT_HALF = 1 / math.sqrt(2)
 def complex_split(x) -> list:
     """Complex parts (x0 + i*x1, x2 + i*x3, ...) of a quaternion or octonion."""
     return np.array(x.coefficients()).view(complex).tolist()
+
+
+def hyper_squared(p) -> float:
+    """|s1|^2 + |s2|^2 + |s3|^2, the squared hypercomplex parts of an octonion pair."""
+    return abs(p.s1) ** 2 + abs(p.s2) ** 2 + abs(p.s3) ** 2
 
 
 def product_state(rng, left_dim, right_dim):
@@ -37,14 +40,14 @@ def product_state(rng, left_dim, right_dim):
 # ---------------------------------------------------------------- packing
 
 def test_quaternify_bell():
-    q0, q1 = quaternify(ghz_state(2)).coefficients
+    q0, q1 = pack(ghz_state(2), 2).coefficients
     assert q0 == Quaternion(SQRT_HALF, 0, 0, 0)
     assert q1 == Quaternion(0, 0, SQRT_HALF, 0)
 
 
 def test_quaternify_w3():
     s = 1 / math.sqrt(3)
-    coeffs = quaternify(w_state(3)).coefficients
+    coeffs = pack(w_state(3), 2).coefficients
     assert coeffs[0] == Quaternion(0, 0, s, 0)
     assert coeffs[1] == Quaternion(s, 0, 0, 0)
     assert coeffs[2] == Quaternion(s, 0, 0, 0)
@@ -58,26 +61,26 @@ def test_quaternify_of_left_zero_product_is_complex():
     amps = np.zeros_like(matrix)
     amps[0] = matrix[0] / np.linalg.norm(matrix[0])
     forced = make_state((2, 4), amps.ravel())
-    coeffs = quaternify(forced).coefficients
+    coeffs = pack(forced, 2).coefficients
     assert all(q.x2 == 0 and q.x3 == 0 for q in coeffs)
-    assert quat_concurrence(forced) < 1e-12
+    assert concurrence(forced, 2) < 1e-12
 
 
 def test_octonify_of_left_zero_product_is_complex():
     rng = np.random.default_rng(1)
     right = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     amps = np.kron([1, 0, 0, 0], right / np.linalg.norm(right))
-    coeffs = octonify(make_state((4, 4), amps)).coefficients
+    coeffs = pack(make_state((4, 4), amps), 4).coefficients
     assert all(o.coefficients()[2:] == (0,) * 6 for o in coeffs)
 
 
 def test_quaternify_requires_leading_qubit():
     with pytest.raises(SplitMismatchError):
-        quaternify(random_state(1, (3, 2)))
+        pack(random_state(1, (3, 2)), 2)
 
 
 def test_octonify_ghz3():
-    o0, o1 = octonify(ghz_state(3)).coefficients
+    o0, o1 = pack(ghz_state(3), 4).coefficients
     assert o0 == Octonion(SQRT_HALF, 0, 0, 0, 0, 0, 0, 0)
     # conjugated final slot puts the amplitude of |111> on +e6
     assert o1 == Octonion(0, 0, 0, 0, 0, 0, SQRT_HALF, 0)
@@ -85,7 +88,7 @@ def test_octonify_ghz3():
 
 def test_octonify_w3():
     s = 1 / math.sqrt(3)
-    o0, o1 = octonify(w_state(3)).coefficients
+    o0, o1 = pack(w_state(3), 4).coefficients
     assert o0 == Octonion(0, 0, s, 0, s, 0, 0, 0)
     assert o1 == Octonion(s, 0, 0, 0, 0, 0, 0, 0)
 
@@ -94,7 +97,7 @@ def test_octonify_slot_layout():
     amps = np.array([1, 2j, 3, 4 + 5j, 0, 0, 0, 0], dtype=complex)
     amps /= np.linalg.norm(amps)
     state = make_state((4, 2), amps)
-    o0 = octonify(state).coefficients[0]
+    o0 = pack(state, 4).coefficients[0]
     assert tuple(pack(state, 4).rows[0]) == o0.coefficients()
     z0, z1, z2, z3 = complex_split(o0)
     matrix = state.split_matrix(4)
@@ -106,32 +109,32 @@ def test_octonify_slot_layout():
 
 def test_octonify_requires_leading_ququart():
     with pytest.raises(SplitMismatchError):
-        octonify(random_state(2, (2, 3)))
+        pack(random_state(2, (2, 3)), 4)
 
 
 def test_packing_preserves_norm():
     state = random_state(11, (2, 2, 2, 2))
-    assert abs(np.sum(quaternify(state).rows ** 2) - 1) < 1e-12
-    assert abs(np.sum(octonify(state).rows ** 2) - 1) < 1e-12
+    assert abs(np.sum(pack(state, 2).rows ** 2) - 1) < 1e-12
+    assert abs(np.sum(pack(state, 4).rows ** 2) - 1) < 1e-12
 
 
 # ------------------------------------------------------------- projection
 
 def test_quat_project_bell():
-    proj = quat_project(*quaternify(ghz_state(2)).coefficients)
+    proj = project(*pack(ghz_state(2), 2).coefficients)
     assert proj.schmidt == 0
     assert abs(abs(proj.concurrence_part) - 0.5) < 1e-15
 
 
 def test_quat_project_product_state_vanishes():
-    proj = quat_project(Quaternion(1, 0, 0, 0), Quaternion())
+    proj = project(Quaternion(1, 0, 0, 0), Quaternion())
     assert proj.schmidt == 0 and proj.concurrence_part == 0
 
 
 def test_quat_project_schmidt_weights():
     lam = 0.3
     state = make_state((2, 2), [math.sqrt(lam), 0, 0, math.sqrt(1 - lam)])
-    proj = quat_project(*quaternify(state).coefficients)
+    proj = project(*pack(state, 2).coefficients)
     assert abs(proj.schmidt) < 1e-15
     assert abs(abs(proj.concurrence_part) - math.sqrt(lam * (1 - lam))) < 1e-15
 
@@ -141,8 +144,7 @@ def test_quat_projection_reconstructs_product():
     for _ in range(20):
         qa = Quaternion(*rng.standard_normal(4))
         qb = Quaternion(*rng.standard_normal(4))
-        expected = QuatProjection(*complex_split(quat_mul(qa, qb.conjugate())))
-        assert quat_project(qa, qb) == expected
+        expected = QuatProjection(*complex_split(qa * qb.conjugate()))
         assert project(qa, qb) == expected
 
 
@@ -151,8 +153,8 @@ def test_quat_projection_bilinear_cross_check():
     for _ in range(50):
         state = random_state(int(rng.integers(2 ** 31)), (2, 4))
         matrix = state.split_matrix(2)
-        qstate = quaternify(state)
-        for j, k, proj in quat_pair_projections(qstate):
+        qstate = pack(state, 2)
+        for j, k, proj in pair_projections(qstate):
             schmidt, minor = quat_projection_bilinear(matrix[:, j], matrix[:, k])
             assert abs(proj.schmidt - schmidt) < 1e-14
             # computed e2 part is the negative of the column minor
@@ -160,9 +162,9 @@ def test_quat_projection_bilinear_cross_check():
 
 
 def test_oct_project_ghz3_pair():
-    proj = project(*octonify(ghz_state(3)).coefficients)
+    proj = project(*pack(ghz_state(3), 4).coefficients)
     assert proj.s0 == 0 and proj.s1 == 0 and proj.s2 == 0
-    assert abs(proj.hyper_norm_squared - 0.25) < 1e-15
+    assert abs(hyper_squared(proj) - 0.25) < 1e-15
     assert abs(abs(proj.s3) - 0.5) < 1e-15
 
 
@@ -184,8 +186,8 @@ def test_oct_project_separable_vanishes():
     rng = np.random.default_rng(5)
     for _ in range(10):
         state = product_state(rng, 4, 3)
-        for _, _, proj in oct_pair_projections(octonify(state)):
-            assert math.sqrt(proj.hyper_norm_squared) < 1e-12
+        for _, _, proj in pair_projections(pack(state, 4)):
+            assert math.sqrt(hyper_squared(proj)) < 1e-12
 
 
 def test_oct_projection_reconstructs_product():
@@ -193,7 +195,7 @@ def test_oct_projection_reconstructs_product():
     for _ in range(20):
         oa = Octonion(*rng.standard_normal(8))
         ob = Octonion(*rng.standard_normal(8))
-        assert project(oa, ob) == OctProjection(*complex_split(oct_mul(oa, ob.conjugate())))
+        assert project(oa, ob) == OctProjection(*complex_split(oa * ob.conjugate()))
 
 
 @pytest.mark.parametrize("left_dim", [2, 4])
@@ -215,7 +217,6 @@ def test_oct_projection_bilinear_cross_check():
         state = random_state(int(rng.integers(2 ** 31)), (4, 3))
         matrix = state.split_matrix(4)
         generic = pair_projections(pack(state, 4))
-        assert generic == oct_pair_projections(octonify(state))
         for k, l, proj in generic:
             s0, s1, s2, s3 = oct_projection_bilinear(matrix[:, k], matrix[:, l])
             assert abs(proj.s0 - s0) < 1e-14
@@ -224,42 +225,94 @@ def test_oct_projection_bilinear_cross_check():
             assert abs(proj.s3 - s3) < 1e-14
 
 
+def unit_vector(rng, n):
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return v / np.linalg.norm(v)
+
+
+# Three-qubit products ABC, a qubit times a pair, by einsum; pack(state, 4) packs A and B.
+# Each class with the indices of the parts (s1, s2, s3) that vanish on it.
+PRODUCT_CLASSES = {"A|BC": ("a,bc->abc", [1]), "B|AC": ("b,ac->abc", [0]),
+                   "AB|C": ("c,ab->abc", [0, 1, 2])}
+
+
+@pytest.mark.parametrize("cut", PRODUCT_CLASSES)
+def test_each_octonionic_part_vanishes_on_its_product_class(cut):
+    # s1 holds the minors of rows that differ in B alone, s2 in A alone, s3 in both
+    spec, vanishing = PRODUCT_CLASSES[cut]
+    rng = np.random.default_rng(160)
+    parts = []
+    for _ in range(200):
+        amplitudes = np.einsum(spec, unit_vector(rng, 2), unit_vector(rng, 4).reshape(2, 2))
+        [(_, _, proj)] = pair_projections(pack(make_state((2, 2, 2), amplitudes.ravel()), 4))
+        parts.append((abs(proj.s1), abs(proj.s2), abs(proj.s3)))
+    largest = np.max(parts, axis=0)
+    assert [i for i in range(3) if largest[i] <= 2e-16] == vanishing
+    assert all(largest[i] >= 0.1 for i in range(3) if i not in vanishing)
+
+
+def test_w3_lies_in_s1_and_s2():
+    # GHZ3 lies wholly in s3 (test_oct_project_ghz3_pair)
+    [(_, _, w)] = pair_projections(pack(w_state(3), 4))
+    assert (w.s0, w.s3) == (0, 0)
+    assert abs(w.s1 - 1 / 3) <= 2e-16 and abs(w.s2 - 1 / 3) <= 2e-16
+
+
+def test_pluecker_cancellation_needs_the_conjugated_last_slot():
+    # sum |s_i|^2 = sum |m_ab|^2 + 2 Re(m01 m23 - m02 m13 + m03 m12), and the bracket is the
+    # Pluecker relation of a 4 x 2 matrix, 0; packed without the conjugate it does not cancel
+    rng = np.random.default_rng(161)
+    with_conjugate, without = [], []
+    for _ in range(100):
+        matrix = random_state(int(rng.integers(2 ** 31)), (4, 2)).split_matrix(4)
+        minors = {(a, b): matrix[a, 0] * matrix[b, 1] - matrix[b, 0] * matrix[a, 1]
+                  for a, b in combinations(range(4), 2)}
+        assert abs(minors[0, 1] * minors[2, 3] - minors[0, 2] * minors[1, 3]
+                   + minors[0, 3] * minors[1, 2]) <= 1e-16
+        total = sum(abs(m) ** 2 for m in minors.values())
+        unconjugated = PackedState(matrix.T.copy().view(float))
+        for packed, gaps in ((pack(make_state((4, 2), matrix.ravel()), 4), with_conjugate),
+                             (unconjugated, without)):
+            [(_, _, proj)] = pair_projections(packed)
+            gaps.append(abs(hyper_squared(proj) - total))
+    assert max(with_conjugate) <= 1e-15
+    assert max(without) >= 0.05
+
+
 # ------------------------------------------------------------ concurrence
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_quat_concurrence_ghz(m):
-    assert abs(quat_concurrence(ghz_state(m)) - 1) < 1e-12
     assert abs(concurrence(ghz_state(m), 2) - 1) < 1e-12
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_quat_concurrence_w(m):
     expected = 2 * math.sqrt(m - 1) / m
-    assert abs(quat_concurrence(w_state(m)) - expected) < 1e-12
+    assert abs(concurrence(w_state(m), 2) - expected) < 1e-12
 
 
 def test_quat_concurrence_separable():
     rng = np.random.default_rng(8)
     for _ in range(10):
-        assert quat_concurrence(product_state(rng, 2, 8)) < 1e-12
+        assert concurrence(product_state(rng, 2, 8), 2) < 1e-12
 
 
 @pytest.mark.parametrize("m", range(3, 7))
 def test_oct_concurrence_ghz(m):
-    assert abs(oct_concurrence(ghz_state(m)) - 1) < 1e-10
     assert abs(concurrence(ghz_state(m), 4) - 1) < 1e-10
 
 
 @pytest.mark.parametrize("m", range(3, 7))
 def test_oct_concurrence_w(m):
     expected = 2 * math.sqrt(2 * (m - 2)) / m
-    assert abs(oct_concurrence(w_state(m)) - expected) < 1e-10
+    assert abs(concurrence(w_state(m), 4) - expected) < 1e-10
 
 
 def test_oct_concurrence_separable():
     rng = np.random.default_rng(9)
     for _ in range(10):
-        assert oct_concurrence(product_state(rng, 4, 4)) < 1e-12
+        assert concurrence(product_state(rng, 4, 4), 4) < 1e-12
 
 
 def test_quat_concurrence_matches_minor_oracle():
@@ -267,7 +320,6 @@ def test_quat_concurrence_matches_minor_oracle():
     for n in (2, 3, 4, 8):
         for _ in range(40):
             state = random_state(int(rng.integers(2 ** 31)), (2, n))
-            assert abs(quat_concurrence(state) - minor_concurrence(state, 2)) < 1e-12
             assert abs(concurrence(state, 2) - minor_concurrence(state, 2)) < 1e-12
 
 
@@ -276,18 +328,17 @@ def test_oct_concurrence_matches_minor_oracle():
     for n in (2, 3, 4, 8):
         for _ in range(40):
             state = random_state(int(rng.integers(2 ** 31)), (4, n))
-            assert abs(oct_concurrence(state) - minor_concurrence(state, 4)) < 1e-10
             assert abs(concurrence(state, 4) - minor_concurrence(state, 4)) < 1e-10
 
 
 def test_concurrence_local_unitary_invariance():
     rng = np.random.default_rng(12)
-    for left_dim, conc in ((2, quat_concurrence), (4, oct_concurrence)):
+    for left_dim in (2, 4):
         for _ in range(25):
             state = random_state(int(rng.integers(2 ** 31)), (left_dim, 5))
             moved = apply_local(state, random_unitary(left_dim, rng),
                                 random_unitary(5, rng))
-            assert abs(conc(state) - conc(moved)) < 1e-10
+            assert abs(concurrence(state, left_dim) - concurrence(moved, left_dim)) < 1e-10
 
 
 # ------------------------------------------------------ compressed route
@@ -297,7 +348,7 @@ def pairwise_concurrence(state, left_dim):
     pairs = pair_projections(pack(state, left_dim))
     if left_dim == 2:
         return 2 * math.sqrt(sum(abs(p.concurrence_part) ** 2 for _, _, p in pairs))
-    return 2 * math.sqrt(sum(p.hyper_norm_squared for _, _, p in pairs))
+    return 2 * math.sqrt(sum(hyper_squared(p) for _, _, p in pairs))
 
 
 def svd_concurrence(matrix):
@@ -314,10 +365,14 @@ def test_schmidt_parts_are_the_reduced_density_matrix(seed, left_dim, right_dim)
     state = random_state(seed, (left_dim, right_dim))
     packed = pack(state, left_dim)
     rho = state.split_matrix(left_dim).T @ state.split_matrix(left_dim).conj()
-    purity = float(np.sum(np.sum(packed.rows ** 2, axis=1) ** 2))  # the diagonal, |c_j|^4
+    norms = np.sum(packed.rows ** 2, axis=1)  # |c_j|^2
+    purity = float(np.sum(norms ** 2))  # the diagonal, |c_j|^4
     for j, k, p in pair_projections(packed):
         schmidt = p.schmidt if left_dim == 2 else p.s0
+        hyper = abs(p.concurrence_part) ** 2 if left_dim == 2 else hyper_squared(p)
         assert abs(schmidt - rho[j, k]) <= 2e-16
+        # |c_j conj(c_k)| = |c_j| |c_k| splits each pair, not only the sum over pairs
+        assert abs(abs(schmidt) ** 2 + hyper - norms[j] * norms[k]) <= 2e-16
         purity += 2 * abs(schmidt) ** 2
     assert abs(purity + pairwise_concurrence(state, left_dim) ** 2 / 2 - 1) <= 4e-15
 
@@ -383,6 +438,25 @@ def test_near_separable_absolute_error_bound_past_the_pair_grid(m, left_dim):
         assert abs(concurrence(state, left_dim) - expected) <= 1e-14
 
 
+def test_exact_concurrence_is_exact_on_dyadic_matrices():
+    assert exact_concurrence(np.array([[0.5, 0], [0, 0.5j]])) == 0.5
+    assert exact_concurrence(np.array([[2.0 ** -600, 0], [0, 2.0 ** 600]])) == 2.0
+    assert exact_concurrence(np.array([[0.25, 0.5], [0.5 + 1j, 1 + 2j]])) == 0.0
+
+
+@pytest.mark.parametrize("left_dim", [2, 4])
+@pytest.mark.parametrize("m", [4, 5, 6])
+def test_near_separable_error_against_the_exact_integer_oracle(m, left_dim):
+    # the exact concurrence of the stored floats, not the nominal target, which itself
+    # rounds; both routes sit within 1e-15 of it down to C = 1e-10
+    rng = np.random.default_rng(500 + 10 * m + left_dim)
+    for target in (1e-2, 1e-6, 1e-10):
+        state, _ = schmidt_form_state(rng, m, left_dim, target)
+        exact = exact_concurrence(state.split_matrix(left_dim))
+        assert abs(concurrence(state, left_dim) - exact) <= 1e-15
+        assert abs(minor_concurrence(state, left_dim) - exact) <= 1e-15
+
+
 def test_pair_projections_refuse_grid_above_limit():
     with pytest.raises(SizeLimitError):
         pair_projections(pack(random_state(1, (2,) * 13), 2))
@@ -425,7 +499,7 @@ def identity_unitary():
 
 
 def test_right_module_identity():
-    qstate = quaternify(ghz_state(2))
+    qstate = pack(ghz_state(2), 2)
     moved = right_module_action(qstate, identity_unitary(), identity_unitary())
     assert moved.coefficients == qstate.coefficients
 
@@ -433,36 +507,36 @@ def test_right_module_identity():
 def test_right_module_fiber_factor_cancels_in_projection():
     rng = np.random.default_rng(13)
     for _ in range(30):
-        qstate = quaternify(random_state(int(rng.integers(2 ** 31)), (2, 2)))
+        qstate = pack(random_state(int(rng.integers(2 ** 31)), (2, 2)), 2)
         fiber = random_local_unitary(rng)
         moved = right_module_action(qstate, identity_unitary(), fiber)
-        before = quat_project(*qstate.coefficients)
-        after = quat_project(*moved.coefficients)
+        before = project(*qstate.coefficients)
+        after = project(*moved.coefficients)
         assert abs(before.schmidt - after.schmidt) < 1e-14
         assert abs(before.concurrence_part - after.concurrence_part) < 1e-14
 
 
 def test_right_module_preserves_bell_concurrence_part():
     rng = np.random.default_rng(14)
-    qstate = quaternify(ghz_state(2))
+    qstate = pack(ghz_state(2), 2)
     for _ in range(30):
         moved = right_module_action(qstate, random_local_unitary(rng),
                                     random_local_unitary(rng))
-        proj = quat_project(*moved.coefficients)
+        proj = project(*moved.coefficients)
         assert abs(abs(proj.concurrence_part) - 0.5) < 1e-12
 
 
 def test_right_module_preserves_norm():
     rng = np.random.default_rng(15)
     for _ in range(20):
-        qstate = quaternify(random_state(int(rng.integers(2 ** 31)), (2, 2)))
+        qstate = pack(random_state(int(rng.integers(2 ** 31)), (2, 2)), 2)
         moved = right_module_action(qstate, random_local_unitary(rng),
                                     random_local_unitary(rng))
         assert abs(np.sum(moved.rows ** 2) - 1) < 1e-12
 
 
 def test_right_module_requires_two_coefficients():
-    qstate = quaternify(ghz_state(3))
+    qstate = pack(ghz_state(3), 2)
     with pytest.raises(ValueError):
         right_module_action(qstate, identity_unitary(), identity_unitary())
 
@@ -471,22 +545,22 @@ def test_right_module_requires_two_coefficients():
 
 def test_equivariance_identity():
     state = random_state(16, (2, 2))
-    assert verify_equivariance(state, identity_unitary(), identity_unitary())
+    assert equivariance_error(state, identity_unitary(), identity_unitary()) <= 1e-10
 
 
 def test_equivariance_random_triples():
     rng = np.random.default_rng(17)
     for _ in range(200):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
-        assert verify_equivariance(state, random_local_unitary(rng),
-                                   random_local_unitary(rng))
+        assert equivariance_error(state, random_local_unitary(rng),
+                                  random_local_unitary(rng)) <= 1e-10
 
 
 def test_equivariance_error_matches_the_coefficient_object_route():
     def by_objects(state, coeff_u, fiber_u):
-        via_state = quat_project(*quaternify(apply_local(state, fiber_u, coeff_u)).coefficients)
-        via_module = quat_project(*right_module_action(quaternify(state), coeff_u,
-                                                       fiber_u).coefficients)
+        via_state = project(*pack(apply_local(state, fiber_u, coeff_u), 2).coefficients)
+        via_module = project(*right_module_action(pack(state, 2), coeff_u,
+                                                  fiber_u).coefficients)
         return max(abs(via_state.schmidt - via_module.schmidt),
                    abs(via_state.concurrence_part - via_module.concurrence_part))
 
@@ -502,11 +576,11 @@ def test_transformed_schmidt_closed_form():
     rng = np.random.default_rng(18)
     for _ in range(100):
         state = random_state(int(rng.integers(2 ** 31)), (2, 2))
-        qstate = quaternify(state)
+        qstate = pack(state, 2)
         coeff_u = random_local_unitary(rng)
         moved = right_module_action(qstate, coeff_u, identity_unitary())
         expected = transformed_schmidt_part(qstate, coeff_u)
-        assert abs(quat_project(*moved.coefficients).schmidt - expected) < 1e-10
+        assert abs(project(*moved.coefficients).schmidt - expected) < 1e-10
 
 
 # The benchmark (perfbench/) labels each call it times "<module>.<__name__>",

@@ -14,7 +14,7 @@ from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec,
                      NormalizationError, PackedState, ParameterError, PureState, Quaternion,
                      SizeLimitError, SplitMismatchError, apply_local, concurrence,
                      equivariance_error, evolve_closed_form, ghz_state, load_state,
-                     make_state, minor_concurrence, pack, pauli_propagator, quaternify,
+                     make_state, minor_concurrence, pack, pauli_propagator,
                      random_local_unitary, random_state, random_unitary, right_module_action,
                      save_state, schmidt_trajectory, w_state)
 from hopfcon import states
@@ -322,6 +322,16 @@ def test_a_path_like_giving_bytes_is_refused_by_the_object_rule(call, tmp_path):
         call(_BytesPath(path))
 
 
+@pytest.mark.parametrize("call", [load_state, lambda path: save_state(ghz_state(2), path)],
+                         ids=["load_state", "save_state"])
+def test_an_empty_path_names_no_file(call, tmp_path, monkeypatch):
+    # pathlib reads "" as ".", the current directory; the empty str names no file at all
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError) as info:
+        call("")
+    assert info.value.filename == ""
+
+
 def test_make_state_reports_the_norm_before_the_count():
     with pytest.raises(NormalizationError):
         make_state((2, 2), [2, 0, 0])
@@ -340,7 +350,7 @@ def test_json_accepts_integral_float_dims():
     lambda: LocalUnitary2(float("nan"), 0.0),
     lambda: LocalUnitary2(1.0, complex(0.0, float("nan"))),
     lambda: PackedState(np.eye(2, 3)),
-    lambda: right_module_action(quaternify(ghz_state(3)), LocalUnitary2(1, 0),
+    lambda: right_module_action(pack(ghz_state(3), 2), LocalUnitary2(1, 0),
                                 LocalUnitary2(1, 0)),
     lambda: random_state(-1, (2, 2)),
     # splits and shapes the hypercomplex routes cannot take
@@ -453,8 +463,8 @@ UNIT = LocalUnitary2(1, 0)
     # apply_local's matrices take the amplitude rule; numpy would convert the text
     (lambda: apply_local(TWO_QUBITS, [["1", "0"], ["0", "1"]], np.eye(2)), DimensionMismatchError),
     # the module action takes LocalUnitary2 elements, not their matrices
-    (lambda: right_module_action(quaternify(TWO_QUBITS), np.eye(2), UNIT), DimensionMismatchError),
-    (lambda: right_module_action(quaternify(TWO_QUBITS), UNIT, None), DimensionMismatchError),
+    (lambda: right_module_action(pack(TWO_QUBITS, 2), np.eye(2), UNIT), DimensionMismatchError),
+    (lambda: right_module_action(pack(TWO_QUBITS, 2), UNIT, None), DimensionMismatchError),
     (lambda: equivariance_error(TWO_QUBITS, np.eye(2), UNIT), DimensionMismatchError),
     (lambda: equivariance_error(TWO_QUBITS, UNIT, np.eye(2)), DimensionMismatchError),
     # the dynamics read each parameter with the scalar reader of the number rule

@@ -4,6 +4,7 @@ object rule."""
 
 import ast
 import importlib
+import math
 import operator
 import os
 import re
@@ -18,11 +19,12 @@ from hopfcon import (DimensionMismatchError, HopfconError, LocalHamiltonianSpec,
                      Octonion, PackedState, PureState, Quaternion, apply_local, concurrence,
                      equivariance_error, evolve_closed_form, evolve_numeric,
                      generator_concurrence, ghz_state, load_state, make_state,
-                     minor_concurrence, oct_concurrence, oct_pair_projections, octonify, pack,
-                     pair_projections, pauli_propagator, quat_concurrence,
-                     quat_pair_projections, quaternify, random_local_unitary, random_state,
-                     random_unitary, right_module_action, save_state, schmidt_initial_state,
-                     schmidt_trajectory, verify_equivariance, w_state)
+                     minor_concurrence, oct_concurrence, oct_mul, oct_pair_projections, octonify,
+                     pack, pair_projections, pauli_propagator, project, quat_concurrence,
+                     quat_mul, quat_pair_projections, quat_project, quaternify,
+                     random_local_unitary, random_state, random_unitary, right_module_action,
+                     save_state, schmidt_initial_state, schmidt_trajectory, verify_equivariance,
+                     w_state)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -74,18 +76,21 @@ def test_every_name_defined_in_src_is_used_outside_its_def_line():
     assert sorted(defined - used) == []
 
 
-# The defs that only perfbench/ and tests call: perfbench/tracing.py labels its spans by
+# The defs that only perfbench/ and this file call: perfbench/tracing.py labels its spans by
 # __name__, so they stay until the benchmark calls the general names.
 BENCHMARK_ONLY = {"quaternify", "octonify", "quat_project", "quat_pair_projections",
                   "oct_pair_projections", "quat_concurrence", "oct_concurrence",
                   "verify_equivariance", "as_array", "hyper_norm_squared", "quat_mul", "oct_mul",
-                  "evolve_numeric", "schmidt_initial_state"}
+                  "evolve_numeric", "schmidt_initial_state", "complex_pair"}
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def test_src_calls_no_benchmark_only_def():
-    # so deleting them touches only their defs and their __init__ entries
+    # so deleting them touches only their defs, the __init__ block, this set and this file's
+    # two tests of them; every other test calls the general names
     calls = {path.name: sorted(_references(ast.parse(path.read_text())) & BENCHMARK_ONLY)
-             for path in SOURCES if path.name != "__init__.py"}
+             for path in [*SOURCES, *TESTS]
+             if path.name not in ("__init__.py", Path(__file__).name)}
     assert {name: found for name, found in calls.items() if found} == {}
 
 
@@ -303,3 +308,60 @@ def test_every_object_slot_refuses_a_wrong_object_by_its_type(slot):
         else:
             wrong[got] = "accepted"
     assert wrong == {}
+
+
+SPLIT = random_state(3, (2, 2, 2))  # both splits, 2xN and 4xN
+QUATERNIONS = tuple(Quaternion(*row) for row in np.random.default_rng(4).standard_normal((2, 4)))
+OCTONIONS = tuple(Octonion(*row) for row in np.random.default_rng(8).standard_normal((2, 8)))
+OCT_PAIR = pair_projections(pack(SPLIT, 4))[0][2]
+FIBER = LocalUnitary2(0.6, 0.8j)
+SPEC2 = LocalHamiltonianSpec(2.1, 1.3, 0.8)
+LAM = 0.3
+
+# each benchmark-only def against the general form it stands for, as (hook, general)
+HOOKS = {
+    "quaternify": (lambda: quaternify(SPLIT), lambda: pack(SPLIT, 2)),
+    "octonify": (lambda: octonify(SPLIT), lambda: pack(SPLIT, 4)),
+    "quat_project": (lambda: quat_project(*QUATERNIONS), lambda: project(*QUATERNIONS)),
+    "quat_pair_projections": (lambda: quat_pair_projections(pack(SPLIT, 2)),
+                              lambda: pair_projections(pack(SPLIT, 2))),
+    "oct_pair_projections": (lambda: oct_pair_projections(pack(SPLIT, 4)),
+                             lambda: pair_projections(pack(SPLIT, 4))),
+    "quat_concurrence": (lambda: quat_concurrence(SPLIT), lambda: concurrence(SPLIT, 2)),
+    "oct_concurrence": (lambda: oct_concurrence(SPLIT), lambda: concurrence(SPLIT, 4)),
+    "verify_equivariance": (lambda: verify_equivariance(STATE, UNIT, FIBER),
+                            lambda: equivariance_error(STATE, UNIT, FIBER) <= 1e-10),
+    "as_array": (lambda: PACKED.as_array(), lambda: PACKED.rows),
+    "hyper_norm_squared": (lambda: OCT_PAIR.hyper_norm_squared,
+                           lambda: abs(OCT_PAIR.s1) ** 2 + abs(OCT_PAIR.s2) ** 2
+                           + abs(OCT_PAIR.s3) ** 2),
+    "quat_mul": (lambda: quat_mul(*QUATERNIONS), lambda: operator.mul(*QUATERNIONS)),
+    "oct_mul": (lambda: oct_mul(*OCTONIONS), lambda: operator.mul(*OCTONIONS)),
+    "evolve_numeric": (lambda: evolve_numeric(STATE, SPEC, SPEC2, 0.7),
+                       lambda: apply_local(STATE, pauli_propagator(SPEC, 0.7),
+                                           pauli_propagator(SPEC2, 0.7))),
+    "schmidt_initial_state": (lambda: schmidt_initial_state(LAM),
+                              lambda: PureState((2, 2), [math.sqrt(LAM), 0, 0,
+                                                         math.sqrt(1 - LAM)])),
+    "complex_pair": (lambda: QUATERNIONS[0].complex_pair(),
+                     lambda: (complex(QUATERNIONS[0].x0, QUATERNIONS[0].x1),
+                              complex(QUATERNIONS[0].x2, QUATERNIONS[0].x3))),
+}
+
+
+def _bits(value):
+    """A result as exact bits: arrays by their bytes, everything else by repr, which keeps -0.0."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, PackedState):
+        return _bits(value.rows)
+    if isinstance(value, PureState):
+        return value.dims, _bits(value.amplitudes)
+    return repr(value)
+
+
+@pytest.mark.parametrize("hook", sorted(BENCHMARK_ONLY))
+def test_each_benchmark_only_def_is_its_general_form_bit_for_bit(hook):
+    # the defs keep tier-1 coverage here while no other test calls them
+    hooked, general = HOOKS[hook]
+    assert _bits(hooked()) == _bits(general())
